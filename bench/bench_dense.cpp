@@ -26,6 +26,7 @@
 
 #include "bench_common.hpp"
 #include "engine/batch/dispatch.hpp"
+#include "engine/workload_runner.hpp"
 #include "protocols/registry.hpp"
 
 namespace ppfs {
@@ -45,11 +46,7 @@ std::unique_ptr<Engine> build(const std::string& kind, std::size_t n,
   config.model = model;
   const AdversaryParams adv = parse_adversary_spec(adversary);
   if (adv.rate > 0.0) config.adversary = adv;
-  // Above kPerAgentLimit the registry hands out counts, not agents.
-  return w.initial_counts.empty()
-             ? make_engine(kind, w.protocol, w.initial, config)
-             : make_engine_from_counts(kind, w.protocol, w.initial_counts,
-                                       config);
+  return make_workload_engine(kind, w, config);
 }
 
 // Interactions/sec covering `steps` dense interactions.
@@ -134,8 +131,7 @@ int main(int argc, char** argv) {
     const OneWayWorkload w = find_one_way_workload("beacon-or", n, Model::IT);
     EngineConfig config;
     config.model = Model::IT;
-    auto engine =
-        make_engine_from_counts("auto", w.protocol, w.initial_counts, config);
+    auto engine = make_workload_engine("auto", w, config);
     UniformScheduler sched(n);
     Rng rng(bench_seed(43));
     auto conv = w.converged;

@@ -457,16 +457,10 @@ int run_with_engine(const std::string& kind, Model model,
   std::unique_ptr<Engine> engine;
   std::string workload_name;
   CountsProbe probe;
-  // Above kPerAgentLimit the registry hands out counts instead of a
-  // per-agent vector (n = 10^9 runs) and only the count-space engines
-  // apply — make_engine_from_counts rejects "native" with a clear error.
   if (is_one_way(model)) {
     const OneWayWorkload w = find_one_way_workload(workload, n, model);
     workload_name = w.name;
-    engine = w.initial_counts.empty()
-                 ? make_engine(kind, w.protocol, w.initial, config)
-                 : make_engine_from_counts(kind, w.protocol, w.initial_counts,
-                                           config);
+    engine = make_workload_engine(kind, w, config);
     auto conv = w.converged;
     const int expect = w.expected_output;
     probe = [conv, expect](const std::vector<std::size_t>& counts,
@@ -477,10 +471,7 @@ int run_with_engine(const std::string& kind, Model model,
   } else {
     const Workload w = find_workload(workload, n);
     workload_name = w.name;
-    engine = w.initial_counts.empty()
-                 ? make_engine(kind, w.protocol, w.initial, config)
-                 : make_engine_from_counts(kind, w.protocol, w.initial_counts,
-                                           config);
+    engine = make_workload_engine(kind, w, config);
     probe = workload_counts_probe(w);
   }
 
@@ -553,7 +544,8 @@ int run_with_sim_engine(const std::string& kind, const std::string& sim_spec,
   if (adv.rate > 0.0) config.adversary = adv;
 
   const Workload w = find_workload(workload, n);
-  auto engine = make_sim_engine(kind, w.protocol, w.initial, config);
+  auto engine = make_sim_engine(
+      kind, w.protocol, per_agent_initial(w, "--simulate=" + sim_spec), config);
   CountsProbe probe = workload_counts_probe(w);
 
   UniformScheduler sched(n);

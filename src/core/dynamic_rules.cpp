@@ -391,6 +391,30 @@ void OutcomeCache::audit_live_outputs(
   }
 }
 
+std::vector<std::pair<State, std::size_t>> first_appearance_groups(
+    const std::vector<State>& states, std::size_t q, const char* who) {
+  constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
+  std::vector<std::pair<State, std::size_t>> groups;
+  std::vector<std::size_t> slot(q, kUnseen);  // state -> index in groups
+  for (const State s : states) {
+    if (s >= q)
+      throw std::invalid_argument(std::string(who) +
+                                  ": initial state out of range");
+    if (slot[s] == kUnseen) {
+      slot[s] = groups.size();
+      groups.emplace_back(s, 0);
+    }
+    ++groups[slot[s]].second;
+  }
+  return groups;
+}
+
+std::vector<std::pair<State, std::size_t>>
+DynamicRuleSource::intern_initial_groups(const std::vector<State>& sim) {
+  const std::vector<State> ids = intern_initial(sim);
+  return first_appearance_groups(ids, universe_size(), "DynamicRuleSource");
+}
+
 std::vector<State> MatrixRuleSource::intern_initial(
     const std::vector<State>& sim) {
   for (State q : sim) {

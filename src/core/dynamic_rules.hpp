@@ -32,6 +32,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/models.hpp"
@@ -291,6 +292,14 @@ class OutcomeCache {
   Stats stats_;
 };
 
+// (state, agent count) groups of a per-agent state vector, in order of
+// first appearance — the bulk form of an initial population. Every state
+// must be < q; otherwise throws std::invalid_argument("<who>: initial
+// state out of range").
+[[nodiscard]] std::vector<std::pair<State, std::size_t>>
+first_appearance_groups(const std::vector<State>& states, std::size_t q,
+                        const char* who);
+
 // The lazily-expanded rule source both engines can execute. States are ids
 // in an interned universe owned by the source; `outcome` discovers rows on
 // first contact. Implementations for the paper's simulators live in
@@ -318,6 +327,16 @@ class DynamicRuleSource {
   // *distinct* wrapper states; exchangeable simulators collapse them.)
   [[nodiscard]] virtual std::vector<State> intern_initial(
       const std::vector<State>& sim) = 0;
+
+  // Bulk form, the one the count-space engine builds from: the same
+  // interning as intern_initial, returned as (wrapper state, agent count)
+  // groups in the order the wrapper states first appear agent by agent —
+  // so ids, and the engine's occupied-state order, equal the per-agent
+  // form's. The default folds intern_initial (SID: one group per agent);
+  // exchangeable sources override it to intern each distinct simulated
+  // state once.
+  [[nodiscard]] virtual std::vector<std::pair<State, std::size_t>>
+  intern_initial_groups(const std::vector<State>& sim);
 
   // Post-states of a class-`c` interaction on wrapper pre-states (s, r).
   // May intern new states (growing the universe).
@@ -491,6 +510,11 @@ class MatrixRuleSource final : public DynamicRuleSource {
   }
   [[nodiscard]] std::vector<State> intern_initial(
       const std::vector<State>& sim) override;
+  [[nodiscard]] std::vector<std::pair<State, std::size_t>>
+  intern_initial_groups(const std::vector<State>& sim) override {
+    return first_appearance_groups(sim, rules_.num_states(),
+                                   "MatrixRuleSource");
+  }
   [[nodiscard]] StatePair outcome(InteractionClass c, State s,
                                   State r) override {
     return rules_.outcome(c, s, r);

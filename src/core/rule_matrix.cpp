@@ -133,7 +133,7 @@ RuleMatrix RuleMatrix::compile(std::shared_ptr<const Protocol> protocol,
 }
 
 RuleMatrix RuleMatrix::compile(std::shared_ptr<const OneWayProtocol> protocol,
-                               Model model, std::vector<State> initial,
+                               Model model, const std::vector<State>& initial,
                                const ModelFns& fns) {
   if (!protocol) throw std::invalid_argument("RuleMatrix: null protocol");
   if (!is_one_way(model))
@@ -144,7 +144,17 @@ RuleMatrix RuleMatrix::compile(std::shared_ptr<const OneWayProtocol> protocol,
         "RuleMatrix: protocol has g != id, IO forbids it");
   // The lowered two-way table is the canonical face; its delta equals
   // (g(s), f(s, r)), so the one-way compile path above applies verbatim.
-  auto lowered = lower_to_two_way(*protocol, std::move(initial));
+  // The lowered face's Q'_P is the set of distinct initial states,
+  // ascending: multiplicity is irrelevant to it, so a per-agent `initial`
+  // is read once and never kept. (Out-of-range states are left to the
+  // population that validates them.)
+  std::vector<char> seen(protocol->num_states(), 0);
+  for (const State s : initial)
+    if (s < seen.size()) seen[s] = 1;
+  std::vector<State> seed;
+  for (std::size_t s = 0; s < seen.size(); ++s)
+    if (seen[s] != 0) seed.push_back(static_cast<State>(s));
+  auto lowered = lower_to_two_way(*protocol, std::move(seed));
   return compile(std::move(lowered), model, fns);
 }
 

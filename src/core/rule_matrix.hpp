@@ -74,11 +74,12 @@ class RuleMatrix {
       const ModelFns& fns = {});
 
   // Compile a native one-way protocol; `model` must be one-way.
-  // `initial` seeds the lowered two-way face used for count/consensus
+  // The distinct states of `initial` (any multiplicity, e.g. one entry per
+  // agent) seed the lowered two-way face's Q'_P, used for count/consensus
   // tooling (it does not constrain execution).
   [[nodiscard]] static RuleMatrix compile(
       std::shared_ptr<const OneWayProtocol> protocol, Model model,
-      std::vector<State> initial, const ModelFns& fns = {});
+      const std::vector<State>& initial, const ModelFns& fns = {});
 
   [[nodiscard]] Model model() const noexcept { return model_; }
   [[nodiscard]] std::size_t num_states() const noexcept { return q_; }

@@ -789,11 +789,11 @@ class AutoSimEngine final : public Engine {
     std::vector<State> ids;
     driver_->store(ids);
     std::sort(ids.begin(), ids.end());
-    std::vector<std::pair<State, std::uint32_t>> pairs;
+    std::vector<std::pair<State, std::size_t>> pairs;
     for (std::size_t i = 0; i < ids.size();) {
       std::size_t j = i;
       while (j < ids.size() && ids[j] == ids[i]) ++j;
-      pairs.emplace_back(ids[i], static_cast<std::uint32_t>(j - i));
+      pairs.emplace_back(ids[i], j - i);
       i = j;
     }
     sys_ = std::make_unique<SimBatchSystem>(
@@ -851,20 +851,17 @@ std::unique_ptr<Engine> build_from_counts(
   throw std::invalid_argument("make_engine: unknown engine kind '" + kind + "'");
 }
 
-std::unique_ptr<Engine> build(const std::string& kind, RuleMatrix rules,
-                              std::vector<State> initial,
-                              const std::optional<AdversaryParams>& adversary) {
-  if (kind == "native")
-    return std::make_unique<NativeEngine>(std::move(rules), std::move(initial),
-                                          adversary);
-  std::vector<std::size_t> counts(rules.num_states(), 0);
-  for (State q : initial) {
-    if (q >= rules.num_states())
+// Histogram of a per-agent initial vector over q states: the one read the
+// count-space kinds make of it.
+std::vector<std::size_t> count_initial(const std::vector<State>& initial,
+                                       std::size_t q) {
+  std::vector<std::size_t> counts(q, 0);
+  for (const State s : initial) {
+    if (s >= q)
       throw std::invalid_argument("make_engine: initial state out of range");
-    ++counts[q];
+    ++counts[s];
   }
-  return build_from_counts(kind, std::move(rules), std::move(counts),
-                           adversary);
+  return counts;
 }
 
 // Deduped occupied states of a counts vector — the Q'_P seed a one-way
@@ -958,28 +955,38 @@ int Engine::consensus_output() const {
 
 std::unique_ptr<Engine> make_engine(const std::string& kind,
                                     std::shared_ptr<const Protocol> protocol,
-                                    std::vector<State> initial) {
-  return make_engine(kind, std::move(protocol), std::move(initial),
-                     EngineConfig{});
+                                    const std::vector<State>& initial) {
+  return make_engine(kind, std::move(protocol), initial, EngineConfig{});
 }
 
 std::unique_ptr<Engine> make_engine(const std::string& kind,
                                     std::shared_ptr<const Protocol> protocol,
-                                    std::vector<State> initial,
+                                    const std::vector<State>& initial,
                                     const EngineConfig& config) {
   const ResolvedConfig r = resolve(config);
-  return build(kind,
-               RuleMatrix::compile(std::move(protocol), r.model, config.fns),
-               std::move(initial), r.adversary);
+  RuleMatrix rules =
+      RuleMatrix::compile(std::move(protocol), r.model, config.fns);
+  if (kind == "native")
+    return std::make_unique<NativeEngine>(std::move(rules), initial,
+                                          r.adversary);
+  std::vector<std::size_t> counts = count_initial(initial, rules.num_states());
+  return build_from_counts(kind, std::move(rules), std::move(counts),
+                           r.adversary);
 }
 
 std::unique_ptr<Engine> make_engine(
     const std::string& kind, std::shared_ptr<const OneWayProtocol> protocol,
-    std::vector<State> initial, const EngineConfig& config) {
+    const std::vector<State>& initial, const EngineConfig& config) {
+  if (kind != "native") {
+    if (!protocol) throw std::invalid_argument("RuleMatrix: null protocol");
+    return make_engine_from_counts(
+        kind, protocol, count_initial(initial, protocol->num_states()), config);
+  }
   const ResolvedConfig r = resolve(config);
   RuleMatrix rules =
       RuleMatrix::compile(std::move(protocol), r.model, initial, config.fns);
-  return build(kind, std::move(rules), std::move(initial), r.adversary);
+  return std::make_unique<NativeEngine>(std::move(rules), initial,
+                                        r.adversary);
 }
 
 std::unique_ptr<Engine> make_engine_from_counts(
@@ -1010,7 +1017,7 @@ std::unique_ptr<Engine> make_engine_from_counts(
 
 std::unique_ptr<Engine> make_sim_engine(const std::string& kind,
                                         std::shared_ptr<const Protocol> protocol,
-                                        std::vector<State> initial,
+                                        const std::vector<State>& initial,
                                         const SimEngineConfig& config) {
   Model model = config.model.value_or(default_sim_model(config.spec));
   std::optional<AdversaryParams> adversary = config.adversary;
@@ -1021,8 +1028,7 @@ std::unique_ptr<Engine> make_sim_engine(const std::string& kind,
   if (adversary && !is_omissive(model)) model = omissive_closure(model);
   if (kind == "native") {
     return std::make_unique<SimNativeEngine>(
-        make_spec_simulator(config.spec, model, std::move(protocol),
-                            std::move(initial)),
+        make_spec_simulator(config.spec, model, std::move(protocol), initial),
         adversary);
   }
   if (kind == "batch") {

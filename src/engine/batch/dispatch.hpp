@@ -154,20 +154,22 @@ struct EngineConfig {
 // engine: two exact faces over one BatchSystem — the count-leap face and
 // the round-dense face (round_system.hpp) — arbitrated by a RegimeMonitor
 // on the fire density, with active_kind() reporting "leap" or "round".
+// `initial` holds one state per agent. Only "native" keeps a copy; the
+// count-space kinds read it once to count it and build from the counts.
 [[nodiscard]] std::unique_ptr<Engine> make_engine(
     const std::string& kind, std::shared_ptr<const Protocol> protocol,
-    std::vector<State> initial);
+    const std::vector<State>& initial);
 
 // Full (model, engine, adversary) triple over a two-way protocol. One-way
 // models require the protocol to fit the IT/IO shape of §2.2.
 [[nodiscard]] std::unique_ptr<Engine> make_engine(
     const std::string& kind, std::shared_ptr<const Protocol> protocol,
-    std::vector<State> initial, const EngineConfig& config);
+    const std::vector<State>& initial, const EngineConfig& config);
 
 // Same, over a native one-way protocol (config.model must be one-way).
 [[nodiscard]] std::unique_ptr<Engine> make_engine(
     const std::string& kind, std::shared_ptr<const OneWayProtocol> protocol,
-    std::vector<State> initial, const EngineConfig& config);
+    const std::vector<State>& initial, const EngineConfig& config);
 
 // Count-vector construction point: counts[q] agents start in state q, the
 // population is sum(counts). This is how n = 10^9 runs are built — a
@@ -226,10 +228,12 @@ struct SimEngineConfig {
 // with hysteresis — the contract is that auto is never materially slower
 // than the best fixed choice. With an adversary attached, auto picks the
 // favored start representation and locks it (omission-process state does
-// not transfer across representations).
+// not transfer across representations). The count-space kinds intern
+// each distinct initial wrapper state once (DynamicRuleSource::
+// intern_initial_groups) and never keep `initial`.
 [[nodiscard]] std::unique_ptr<Engine> make_sim_engine(
     const std::string& kind, std::shared_ptr<const Protocol> protocol,
-    std::vector<State> initial, const SimEngineConfig& config);
+    const std::vector<State>& initial, const SimEngineConfig& config);
 
 [[nodiscard]] const std::vector<std::string>& engine_kinds();
 

@@ -74,31 +74,14 @@ void SparseConfiguration::audit_invariants(const char* who) const {
 SimBatchSystem::SimBatchSystem(std::shared_ptr<DynamicRuleSource> rules,
                                const std::vector<State>& sim_initial,
                                std::optional<std::size_t> outcome_cache_capacity)
-    : rules_(std::move(rules)) {
-  if (!rules_) throw std::invalid_argument("SimBatchSystem: null rule source");
-  if (sim_initial.size() < 2)
-    throw std::invalid_argument("SimBatchSystem: need at least two agents");
-  rules_->set_outcome_cache_capacity(outcome_cache_capacity.value_or(
-      rules_->self_caching()
-          ? 0
-          : std::min<std::size_t>(
-                kDefaultOutcomeCacheCapacity,
-                std::max<std::size_t>(sim_initial.size() * 4, 256))));
-  factored_ = rules_->real_noop_factors();
-  open_ = rules_->open_universe();
-  stats_.reset(rules_->protocol().num_states());
-  projected_.assign(rules_->protocol().num_states(), 0);
-  const std::vector<State> ids = rules_->intern_initial(sim_initial);
-  grow_to_universe();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    change_count(ids[i], +1);
-    ++projected_.at(sim_initial[i]);
-  }
-}
+    : SimBatchSystem(rules, AdoptWrappers{},
+                     rules ? rules->intern_initial_groups(sim_initial)
+                           : std::vector<std::pair<State, std::size_t>>{},
+                     outcome_cache_capacity) {}
 
 SimBatchSystem::SimBatchSystem(
     std::shared_ptr<DynamicRuleSource> rules, AdoptWrappers,
-    const std::vector<std::pair<State, std::uint32_t>>& wrappers,
+    const std::vector<std::pair<State, std::size_t>>& wrappers,
     std::optional<std::size_t> outcome_cache_capacity)
     : rules_(std::move(rules)) {
   if (!rules_) throw std::invalid_argument("SimBatchSystem: null rule source");

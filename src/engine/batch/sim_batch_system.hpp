@@ -228,22 +228,25 @@ class SimBatchSystem {
   // override; 0 runs uncached (the equivalence suites do both).
   static constexpr std::size_t kDefaultOutcomeCacheCapacity = 1u << 20;
 
-  // `sim_initial` holds simulated-protocol states; the rule source interns
-  // the corresponding wrapper states. `outcome_cache_capacity` overrides
-  // the default LRU bound on the (class, starter, reactor) -> successors
-  // cache the hot path consults before touching the rule source's core.
+  // `sim_initial` holds simulated-protocol states, one per agent; the rule
+  // source interns the corresponding wrapper states in bulk
+  // (DynamicRuleSource::intern_initial_groups) and the counts are adopted
+  // as below. `outcome_cache_capacity` overrides the default LRU bound on
+  // the (class, starter, reactor) -> successors cache the hot path
+  // consults before touching the rule source's core.
   SimBatchSystem(std::shared_ptr<DynamicRuleSource> rules,
                  const std::vector<State>& sim_initial,
                  std::optional<std::size_t> outcome_cache_capacity = {});
 
-  // Bridge constructor (engine=auto): adopt an ALREADY-INTERNED wrapper
-  // population — pairs of (live wrapper id, agent count) — instead of
-  // interning fresh simulated initial states. Trajectory bookkeeping
-  // (steps, stats, omission process) starts empty; the auto engine carries
-  // those across representation switches itself.
+  // Adopt an ALREADY-INTERNED wrapper population — pairs of (live wrapper
+  // id, agent count), entered in the given order — instead of interning
+  // fresh simulated initial states (the engine=auto representation
+  // bridge). Trajectory bookkeeping (steps, stats, omission process)
+  // starts empty; the auto engine carries those across representation
+  // switches itself.
   struct AdoptWrappers {};
   SimBatchSystem(std::shared_ptr<DynamicRuleSource> rules, AdoptWrappers,
-                 const std::vector<std::pair<State, std::uint32_t>>& wrappers,
+                 const std::vector<std::pair<State, std::size_t>>& wrappers,
                  std::optional<std::size_t> outcome_cache_capacity = {});
 
   // Attach an omission process (Def. 1–2); the source's model must be

@@ -21,6 +21,31 @@ workload_counts_probe(const Workload& w) {
   };
 }
 
+namespace {
+
+template <class W>
+std::unique_ptr<Engine> workload_engine(const std::string& kind, const W& w,
+                                        const EngineConfig& config) {
+  if (kind == "native" || w.initial_counts.empty())
+    return make_engine(kind, w.protocol,
+                       per_agent_initial(w, "engine=" + kind), config);
+  return make_engine_from_counts(kind, w.protocol, w.initial_counts, config);
+}
+
+}  // namespace
+
+std::unique_ptr<Engine> make_workload_engine(const std::string& kind,
+                                             const Workload& w,
+                                             const EngineConfig& config) {
+  return workload_engine(kind, w, config);
+}
+
+std::unique_ptr<Engine> make_workload_engine(const std::string& kind,
+                                             const OneWayWorkload& w,
+                                             const EngineConfig& config) {
+  return workload_engine(kind, w, config);
+}
+
 RunResult run_native_workload(const Workload& w, std::uint64_t seed,
                               const RunOptions& opt) {
   NativeSystem sys(w.protocol, w.initial);

@@ -5,7 +5,10 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <string>
 
+#include "engine/batch/dispatch.hpp"
 #include "engine/native.hpp"
 #include "engine/runner.hpp"
 #include "protocols/registry.hpp"
@@ -17,6 +20,17 @@ namespace ppfs {
 [[nodiscard]] std::function<bool(const std::vector<std::size_t>&,
                                  const Protocol&)>
 workload_counts_probe(const Workload& w);
+
+// The one construction path from a workload to an engine. The count-space
+// kinds ("batch", "auto") build from initial_counts — O(q) at every n —
+// or, for hand-built workloads that carry none, count `initial` once;
+// "native" copies the per-agent `initial` and throws (per_agent_initial)
+// for a counts-only workload above kPerAgentLimit.
+[[nodiscard]] std::unique_ptr<Engine> make_workload_engine(
+    const std::string& kind, const Workload& w, const EngineConfig& config = {});
+[[nodiscard]] std::unique_ptr<Engine> make_workload_engine(
+    const std::string& kind, const OneWayWorkload& w,
+    const EngineConfig& config);
 
 // Run the workload natively (two-way, no omissions). Returns the result;
 // `converged` reflects the workload's own success criterion.

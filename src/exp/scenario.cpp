@@ -121,7 +121,8 @@ void harvest_sim_extras(const Simulator& sim, ReplicaResult& out) {
                                                    const Workload& w, Rng rng) {
   const Model model = resolve_model(spec);
   const SimSpec sim_spec = parse_sim_spec(spec.sim);
-  auto sim = make_spec_simulator(sim_spec, model, w.protocol, w.initial);
+  auto sim = make_spec_simulator(sim_spec, model, w.protocol,
+                                 per_agent_initial(w, "sim=" + spec.sim));
   sim->record_events(spec.verify_matching);
 
   const AdversaryParams adv = parse_adversary_spec(spec.adversary);
@@ -173,12 +174,14 @@ void harvest_sim_extras(const Simulator& sim, ReplicaResult& out) {
   return out;
 }
 
-// Engine-backed replica: direct runs (two-way or one-way, either engine)
+// Engine-backed replica: direct runs (two-way or one-way, any engine)
 // and count-space simulator runs. `workload` is the resolved two-way
 // workload, null exactly for one-way direct runs (which resolve the
-// one-way registry here). `resume`/`on_snapshot`/`snapshot_every` carry
-// the sweep service's in-flight checkpoint protocol (see scenario.hpp);
-// run_replica passes nulls and zero.
+// one-way registry here). Direct batch and auto engines are built from
+// the workload's counts, so they run at every n.
+// `resume`/`on_snapshot`/`snapshot_every` carry the sweep service's
+// in-flight checkpoint protocol (see scenario.hpp); run_replica passes
+// nulls and zero.
 [[nodiscard]] ReplicaResult run_engine_replica(
     const ScenarioSpec& spec, const Workload* workload, Rng rng,
     RunStats* stats_out, const ReplicaSnapshot* resume,
@@ -194,7 +197,8 @@ void harvest_sim_extras(const Simulator& sim, ReplicaResult& out) {
     config.model = spec.model;
     if (adv.rate > 0.0) config.adversary = adv;
     engine = make_sim_engine(spec.engine, workload->protocol,
-                             workload->initial, config);
+                             per_agent_initial(*workload, "sim=" + spec.sim),
+                             config);
     probe = workload_counts_probe(*workload);
   } else if (workload == nullptr) {
     EngineConfig config;
@@ -202,7 +206,7 @@ void harvest_sim_extras(const Simulator& sim, ReplicaResult& out) {
     if (adv.rate > 0.0) config.adversary = adv;
     const OneWayWorkload w =
         find_one_way_workload(spec.workload, spec.n, model);
-    engine = make_engine(spec.engine, w.protocol, w.initial, config);
+    engine = make_workload_engine(spec.engine, w, config);
     auto conv = w.converged;
     const int expect = w.expected_output;
     probe = [conv, expect](const std::vector<std::size_t>& counts,
@@ -214,8 +218,7 @@ void harvest_sim_extras(const Simulator& sim, ReplicaResult& out) {
     EngineConfig config;
     config.model = model;
     if (adv.rate > 0.0) config.adversary = adv;
-    engine = make_engine(spec.engine, workload->protocol, workload->initial,
-                         config);
+    engine = make_workload_engine(spec.engine, *workload, config);
     probe = workload_counts_probe(*workload);
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/population.hpp"
 #include "protocols/counting.hpp"
@@ -16,39 +17,34 @@ namespace ppfs {
 
 namespace {
 
-// Initial configuration from ordered (state, count) groups: a per-agent
-// vector below kPerAgentLimit (groups concatenated in order — layouts
-// stay byte-identical to the historical ones), a counts vector above it
-// (the n = 10^9 path; only the count-space engines can run it).
+// Initial configuration from ordered (state, count) groups: the counts
+// vector at every n (O(q)), plus the per-agent vector up to kPerAgentLimit
+// (groups concatenated in order — layouts stay byte-identical to the
+// historical ones).
 template <class W>
 void set_initial(W& w,
                  const std::vector<std::pair<State, std::size_t>>& groups) {
+  w.initial_counts.assign(w.protocol->num_states(), 0);
   std::size_t n = 0;
-  std::size_t top = 0;
   for (const auto& [q, k] : groups) {
+    w.initial_counts.at(q) += k;
     n += k;
-    top = std::max<std::size_t>(top, q);
   }
-  if (n <= kPerAgentLimit) {
-    w.initial = make_initial(groups);
-    return;
-  }
-  w.initial_counts.assign(top + 1, 0);
-  for (const auto& [q, k] : groups) w.initial_counts[q] += k;
+  if (n <= kPerAgentLimit) w.initial = make_initial(groups);
 }
 
+// The factories below leave `name` empty: the suite tables attach it from
+// their stem, so names resolve without constructing anything.
 Workload make_or_workload(std::size_t n) {
   // One agent holds a 1; OR must spread to everyone.
-  Workload w{"or(n=" + std::to_string(n) + ")", make_or_protocol(), {}, 1,
-             nullptr};
+  Workload w{{}, make_or_protocol(), {}, 1, nullptr};
   set_initial(w, {{1, 1}, {0, n - 1}});
   return w;
 }
 
 Workload make_and_workload(std::size_t n) {
   // One agent holds a 0; AND must converge to 0.
-  Workload w{"and(n=" + std::to_string(n) + ")", make_and_protocol(), {}, 0,
-             nullptr};
+  Workload w{{}, make_and_protocol(), {}, 0, nullptr};
   set_initial(w, {{0, 1}, {1, n - 1}});
   return w;
 }
@@ -63,8 +59,7 @@ Workload make_approx_majority_workload(std::size_t n) {
   auto conv = [st](const std::vector<std::size_t>& counts) {
     return counts[st.x] == 0 || counts[st.y] == 0;
   };
-  Workload w{"approx-majority(n=" + std::to_string(n) + ")", p, {}, -1,
-             std::move(conv)};
+  Workload w{{}, p, {}, -1, std::move(conv)};
   set_initial(w, {{st.x, nx}, {st.y, n - nx}});
   return w;
 }
@@ -73,7 +68,7 @@ Workload make_exact_majority_workload(std::size_t n) {
   auto p = make_exact_majority();
   const auto st = exact_majority_states();
   std::size_t nx = n / 2 + 1;  // strict majority for opinion 1
-  Workload w{"exact-majority(n=" + std::to_string(n) + ")", p, {}, 1, nullptr};
+  Workload w{{}, p, {}, 1, nullptr};
   set_initial(w, {{st.big_x, nx}, {st.big_y, n - nx}});
   return w;
 }
@@ -88,8 +83,7 @@ Workload make_exact_majority_gap_workload(std::size_t n) {
   // changes anything), so the count-space simulator demonstrations at
   // n = 10^6 use this large-margin initial configuration.
   const std::size_t nx = n / 2 + std::max<std::size_t>(1, n / 8);
-  Workload w{"exact-majority-gap(n=" + std::to_string(n) + ")", p, {}, 1,
-             nullptr};
+  Workload w{{}, p, {}, 1, nullptr};
   set_initial(w, {{st.big_x, nx}, {st.big_y, n - nx}});
   return w;
 }
@@ -100,7 +94,7 @@ Workload make_leader_workload(std::size_t n) {
   auto conv = [st](const std::vector<std::size_t>& counts) {
     return counts[st.leader] == 1;
   };
-  Workload w{"leader(n=" + std::to_string(n) + ")", p, {}, -1, std::move(conv)};
+  Workload w{{}, p, {}, -1, std::move(conv)};
   set_initial(w, {{st.leader, n}});
   return w;
 }
@@ -110,9 +104,7 @@ Workload make_threshold_workload(std::size_t n, std::size_t k, bool above) {
   // `above`: k ones present (predicate true); else k-1 ones (false).
   const std::size_t ones = above ? k : k - 1;
   if (ones > n) throw std::invalid_argument("threshold workload: ones > n");
-  Workload w{"threshold" + std::to_string(k) + (above ? "-true" : "-false") +
-                 "(n=" + std::to_string(n) + ")",
-             p, {}, above ? 1 : 0, nullptr};
+  Workload w{{}, p, {}, above ? 1 : 0, nullptr};
   set_initial(w, {{1, ones}, {0, n - ones}});
   return w;
 }
@@ -120,8 +112,7 @@ Workload make_threshold_workload(std::size_t n, std::size_t k, bool above) {
 Workload make_mod_workload(std::size_t n, std::size_t m) {
   const std::size_t ones = std::max<std::size_t>(1, n / 2);
   auto p = make_mod_counting(m, ones % m);
-  Workload w{"mod" + std::to_string(m) + "(n=" + std::to_string(n) + ")", p, {},
-             1, nullptr};
+  Workload w{{}, p, {}, 1, nullptr};
   set_initial(w, {{1, ones}, {0, n - ones}});
   return w;
 }
@@ -135,125 +126,199 @@ Workload make_pairing_workload(std::size_t n) {
   auto conv = [st, expect_cs](const std::vector<std::size_t>& counts) {
     return counts[st.critical] == expect_cs;
   };
-  Workload w{"pairing(n=" + std::to_string(n) + ")", p, {}, -1,
-             std::move(conv)};
+  Workload w{{}, p, {}, -1, std::move(conv)};
   set_initial(w, {{st.consumer, consumers}, {st.producer, producers}});
   return w;
+}
+
+OneWayWorkload make_io_or_workload(std::size_t n) {
+  OneWayWorkload w{{}, make_io_or(), {}, true, 1, nullptr};
+  set_initial(w, {{1, 1}, {0, n - 1}});
+  return w;
+}
+
+OneWayWorkload make_io_max_workload(std::size_t n) {
+  OneWayWorkload w{{}, make_io_max(8), {}, true, 7, nullptr};
+  // Agent i starts in i % 7, with agent 0 lifted to the unique maximum 7.
+  w.initial_counts.assign(8, 0);
+  for (std::size_t q = 0; q < 7; ++q)
+    w.initial_counts[q] = n / 7 + (q < n % 7 ? 1 : 0);
+  --w.initial_counts[0];
+  w.initial_counts[7] = 1;
+  if (n <= kPerAgentLimit) {
+    w.initial.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+      w.initial[i] = static_cast<State>(i % 7);
+    w.initial[0] = 7;
+  }
+  return w;
+}
+
+OneWayWorkload make_io_leader_workload(std::size_t n) {
+  auto conv = [](const std::vector<std::size_t>& counts) {
+    return counts[0] == 1;  // exactly one leader
+  };
+  OneWayWorkload w{{}, make_io_leader(), {}, true, -1, std::move(conv)};
+  set_initial(w, {{0, n}});
+  return w;
+}
+
+OneWayWorkload make_io_majority_workload(std::size_t n) {
+  // 2/3 majority for x; converged once one opinion is extinct. The
+  // workload stands in for exact majority on one-way models (see
+  // make_io_cancellation_majority).
+  const auto st = io_majority_states();
+  const std::size_t nx = std::max<std::size_t>(2 * n / 3, 1);
+  auto conv = [st](const std::vector<std::size_t>& counts) {
+    return counts[st.x] == 0 || counts[st.y] == 0;
+  };
+  OneWayWorkload w{{}, make_io_cancellation_majority(), {}, true, -1,
+                   std::move(conv)};
+  set_initial(w, {{st.x, nx}, {st.y, n - nx}});
+  return w;
+}
+
+OneWayWorkload make_beacon_or_workload(std::size_t n) {
+  // IT-only: non-identity g (beacon phase), OR over the bit halves.
+  auto conv = [](const std::vector<std::size_t>& counts) {
+    return counts[0] == 0 && counts[1] == 0;  // every bit is 1
+  };
+  OneWayWorkload w{{}, make_it_or_with_beacon(), {}, false, -1,
+                   std::move(conv)};
+  set_initial(w, {{2, 1}, {0, n - 1}});
+  return w;
+}
+
+// One suite entry: the name stem (the full name appends "(n=N)") and the
+// factory that builds the workload.
+template <class W>
+struct Entry {
+  const char* stem;
+  W (*make)(std::size_t n);
+};
+
+// The standard suite, in resolution order.
+const Entry<Workload> kStandard[] = {
+    {"or", make_or_workload},
+    {"and", make_and_workload},
+    {"approx-majority", make_approx_majority_workload},
+    {"exact-majority", make_exact_majority_workload},
+    {"exact-majority-gap", make_exact_majority_gap_workload},
+    {"leader", make_leader_workload},
+    {"threshold3-true",
+     [](std::size_t n) { return make_threshold_workload(n, 3, true); }},
+    {"threshold3-false",
+     [](std::size_t n) { return make_threshold_workload(n, 3, false); }},
+    {"mod3", [](std::size_t n) { return make_mod_workload(n, 3); }},
+    {"pairing", make_pairing_workload},
+};
+
+// The one-way suite, in resolution order. `io` repeats the factory's
+// OneWayWorkload::io (registry_equivalence_test pins the two together) so
+// the IO check needs no protocol.
+struct OneWayEntry {
+  Entry<OneWayWorkload> entry;
+  bool io;
+};
+const OneWayEntry kOneWay[] = {
+    {{"or", make_io_or_workload}, true},
+    {{"max", make_io_max_workload}, true},
+    {{"leader", make_io_leader_workload}, true},
+    {{"exact-majority-1way", make_io_majority_workload}, true},
+    {{"beacon-or", make_beacon_or_workload}, false},
+};
+
+std::string sized_name(const char* stem, std::size_t n) {
+  return std::string(stem) + "(n=" + std::to_string(n) + ")";
+}
+
+template <class W>
+W build(const Entry<W>& e, std::size_t n) {
+  W w = e.make(n);
+  w.name = sized_name(e.stem, n);
+  return w;
+}
+
+void require_n(std::size_t n, const char* suite) {
+  if (n < 4)
+    throw std::invalid_argument(std::string(suite) + ": n >= 4 required");
+}
+
+template <class W>
+const std::vector<State>& per_agent_initial_of(const W& w,
+                                               const std::string& what) {
+  if (w.initial.empty() && !w.initial_counts.empty())
+    throw std::invalid_argument(
+        "workload '" + w.name +
+        "' carries state counts only (populations above kPerAgentLimit = "
+        "2^27 agents are never enumerated per agent); " +
+        what +
+        " needs per-agent states — only direct engine=batch and engine=auto "
+        "runs start from counts");
+  return w.initial;
 }
 
 }  // namespace
 
 std::vector<Workload> standard_workloads(std::size_t n) {
-  if (n < 4) throw std::invalid_argument("standard_workloads: n >= 4 required");
+  require_n(n, "standard_workloads");
   std::vector<Workload> out;
-  out.push_back(make_or_workload(n));
-  out.push_back(make_and_workload(n));
-  out.push_back(make_approx_majority_workload(n));
-  out.push_back(make_exact_majority_workload(n));
-  out.push_back(make_exact_majority_gap_workload(n));
-  out.push_back(make_leader_workload(n));
-  out.push_back(make_threshold_workload(n, 3, true));
-  out.push_back(make_threshold_workload(n, 3, false));
-  out.push_back(make_mod_workload(n, 3));
-  out.push_back(make_pairing_workload(n));
+  for (const Entry<Workload>& e : kStandard) out.push_back(build(e, n));
   return out;
 }
 
 std::vector<Workload> core_workloads(std::size_t n) {
-  if (n < 4) throw std::invalid_argument("core_workloads: n >= 4 required");
+  require_n(n, "core_workloads");
   std::vector<Workload> out;
-  out.push_back(make_or_workload(n));
-  out.push_back(make_exact_majority_workload(n));
-  out.push_back(make_leader_workload(n));
-  out.push_back(make_pairing_workload(n));
+  for (const std::string_view stem :
+       {"or", "exact-majority", "leader", "pairing"}) {
+    for (const Entry<Workload>& e : kStandard)
+      if (stem == e.stem) out.push_back(build(e, n));
+  }
   return out;
 }
 
 std::vector<OneWayWorkload> one_way_workloads(std::size_t n) {
-  if (n < 4) throw std::invalid_argument("one_way_workloads: n >= 4 required");
-  const std::string size = "(n=" + std::to_string(n) + ")";
+  require_n(n, "one_way_workloads");
   std::vector<OneWayWorkload> out;
-
-  {
-    OneWayWorkload w{"or" + size, make_io_or(), {}, true, 1, nullptr};
-    set_initial(w, {{1, 1}, {0, n - 1}});
-    out.push_back(std::move(w));
-  }
-  {
-    OneWayWorkload w{"max" + size, make_io_max(8), {}, true, 7, nullptr};
-    if (n <= kPerAgentLimit) {
-      std::vector<State> init(n, 0);
-      for (std::size_t i = 0; i < n; ++i) init[i] = static_cast<State>(i % 7);
-      init[0] = 7;  // unique maximum to spread
-      w.initial = std::move(init);
-    } else {
-      // Counts form of the same i % 7 spread with agent 0 lifted to 7.
-      w.initial_counts.assign(8, 0);
-      for (std::size_t q = 0; q < 7; ++q)
-        w.initial_counts[q] = n / 7 + (q < n % 7 ? 1 : 0);
-      --w.initial_counts[0];
-      w.initial_counts[7] = 1;
-    }
-    out.push_back(std::move(w));
-  }
-  {
-    auto conv = [](const std::vector<std::size_t>& counts) {
-      return counts[0] == 1;  // exactly one leader
-    };
-    OneWayWorkload w{"leader" + size, make_io_leader(), {}, true, -1,
-                     std::move(conv)};
-    set_initial(w, {{0, n}});
-    out.push_back(std::move(w));
-  }
-  {
-    // 2/3 majority for x; converged once one opinion is extinct. The
-    // workload stands in for exact majority on one-way models (see
-    // make_io_cancellation_majority).
-    const auto st = io_majority_states();
-    const std::size_t nx = std::max<std::size_t>(2 * n / 3, 1);
-    auto conv = [st](const std::vector<std::size_t>& counts) {
-      return counts[st.x] == 0 || counts[st.y] == 0;
-    };
-    OneWayWorkload w{"exact-majority-1way" + size,
-                     make_io_cancellation_majority(), {}, true, -1,
-                     std::move(conv)};
-    set_initial(w, {{st.x, nx}, {st.y, n - nx}});
-    out.push_back(std::move(w));
-  }
-  {
-    // IT-only: non-identity g (beacon phase), OR over the bit halves.
-    auto conv = [](const std::vector<std::size_t>& counts) {
-      return counts[0] == 0 && counts[1] == 0;  // every bit is 1
-    };
-    OneWayWorkload w{"beacon-or" + size, make_it_or_with_beacon(), {}, false,
-                     -1, std::move(conv)};
-    set_initial(w, {{2, 1}, {0, n - 1}});
-    out.push_back(std::move(w));
-  }
+  for (const OneWayEntry& e : kOneWay) out.push_back(build(e.entry, n));
   return out;
 }
 
 Workload find_workload(const std::string& name, std::size_t n) {
-  for (Workload& w : standard_workloads(n)) {
-    if (w.name.rfind(name, 0) == 0) return w;
+  require_n(n, "standard_workloads");
+  for (const Entry<Workload>& e : kStandard) {
+    if (sized_name(e.stem, n).rfind(name, 0) == 0) return build(e, n);
   }
   throw std::invalid_argument("unknown workload '" + name + "'");
 }
 
 OneWayWorkload find_one_way_workload(const std::string& name, std::size_t n,
                                      Model model) {
-  for (OneWayWorkload& w : one_way_workloads(n)) {
+  require_n(n, "one_way_workloads");
+  for (const OneWayEntry& e : kOneWay) {
     // Prefix match; "exact-majority" resolves to "exact-majority-1way".
-    if (w.name.rfind(name, 0) == 0) {
-      if (model == Model::IO && !w.io)
-        throw std::invalid_argument("workload '" + w.name +
+    const std::string full = sized_name(e.entry.stem, n);
+    if (full.rfind(name, 0) == 0) {
+      if (model == Model::IO && !e.io)
+        throw std::invalid_argument("workload '" + full +
                                     "' needs g != id, IO forbids it");
-      return w;
+      return build(e.entry, n);
     }
   }
   throw std::invalid_argument("unknown one-way workload '" + name +
                               "' (try: or, max, leader, exact-majority, "
                               "beacon-or)");
+}
+
+const std::vector<State>& per_agent_initial(const Workload& w,
+                                            const std::string& what) {
+  return per_agent_initial_of(w, what);
+}
+
+const std::vector<State>& per_agent_initial(const OneWayWorkload& w,
+                                            const std::string& what) {
+  return per_agent_initial_of(w, what);
 }
 
 }  // namespace ppfs

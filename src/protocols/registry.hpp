@@ -16,9 +16,9 @@ namespace ppfs {
 
 // Largest population the registry will enumerate agent-by-agent. Above
 // it (n = 10^9 runs) a per-agent State vector costs gigabytes before any
-// engine starts, so workloads carry `initial_counts` instead and run on
-// the count-space engines via make_engine_from_counts. Below it the
-// per-agent layouts are byte-identical to the historical ones.
+// engine starts, so workloads carry only `initial_counts` and run on the
+// count-space engines. Below it the per-agent layouts are byte-identical
+// to the historical ones.
 inline constexpr std::size_t kPerAgentLimit = std::size_t{1} << 27;
 
 struct Workload {
@@ -31,9 +31,11 @@ struct Workload {
   // Convergence probe: true once the configuration (by state counts) has
   // reached the expected stable set. Null means "use consensus_output".
   std::function<bool(const std::vector<std::size_t>& counts)> converged;
-  // Count-vector form of the initial configuration, populated INSTEAD of
-  // `initial` when n > kPerAgentLimit: initial_counts[q] agents start in
-  // state q. Exactly one of the two is non-empty.
+  // Count-vector form of the initial configuration: initial_counts[q]
+  // agents start in state q (one entry per protocol state). Registry
+  // workloads fill it at every n, at O(q) cost, and fill `initial` (the
+  // per-agent layout, equal to this histogram) only for n <= kPerAgentLimit.
+  // Hand-built workloads may leave it empty; `initial` then describes them.
   std::vector<std::size_t> initial_counts = {};
 };
 
@@ -58,7 +60,7 @@ struct OneWayWorkload {
   // Expected stable consensus output, or -1 with a custom probe.
   int expected_output = -1;
   std::function<bool(const std::vector<std::size_t>& counts)> converged;
-  // As in Workload: the counts form, for n > kPerAgentLimit.
+  // As in Workload: the counts form, filled at every n.
   std::vector<std::size_t> initial_counts = {};
 };
 
@@ -70,13 +72,23 @@ struct OneWayWorkload {
 
 // Name resolution shared by the CLI and the experiment layer: the first
 // standard workload whose name starts with `name` (names carry an "(n=...)"
-// suffix, so "exact-majority" matches before "exact-majority-gap"). Throws
-// std::invalid_argument for unknown names.
+// suffix, so "exact-majority" matches before "exact-majority-gap"). Names
+// resolve without constructing protocols, and only the match is built.
+// Throws std::invalid_argument for unknown names.
 [[nodiscard]] Workload find_workload(const std::string& name, std::size_t n);
 
 // One-way counterpart ("exact-majority" resolves to the cancellation
 // majority). Throws if the workload needs g != id under IO.
 [[nodiscard]] OneWayWorkload find_one_way_workload(const std::string& name,
                                                    std::size_t n, Model model);
+
+// The per-agent initial vector, for the consumers that need agent
+// identities (engine=native, every simulator). Throws
+// std::invalid_argument naming kPerAgentLimit when the workload carries
+// counts only; `what` (e.g. "engine=native") names the consumer.
+[[nodiscard]] const std::vector<State>& per_agent_initial(
+    const Workload& w, const std::string& what);
+[[nodiscard]] const std::vector<State>& per_agent_initial(
+    const OneWayWorkload& w, const std::string& what);
 
 }  // namespace ppfs

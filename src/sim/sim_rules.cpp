@@ -263,6 +263,23 @@ std::vector<State> NamingRuleSource::intern_initial(
   return out;
 }
 
+std::vector<std::pair<State, std::size_t>>
+NamingRuleSource::intern_initial_groups(const std::vector<State>& sim) {
+  if (sim.size() != n_)
+    throw std::invalid_argument("NamingRuleSource: initial arity != n");
+  // As intern_initial, interning each shared wrapper state once.
+  auto groups = first_appearance_groups(sim, protocol_->num_states(),
+                                        "NamingRuleSource");
+  for (auto& [q, k] : groups) {
+    Full f;
+    f.sid.active = false;
+    f.sid.id = kNoId;
+    f.sid.sim_state = q;
+    q = intern_full(f);
+  }
+  return groups;
+}
+
 State NamingRuleSource::react(State reactor, State starter_snap) {
   Full me = decode_full(reactor);
   const Full snap = decode_full(starter_snap);
@@ -469,6 +486,20 @@ std::vector<State> SknoRuleSource::intern_initial(const std::vector<State>& sim)
     out[i] = intern_agent(a);
   }
   return out;
+}
+
+std::vector<std::pair<State, std::size_t>>
+SknoRuleSource::intern_initial_groups(const std::vector<State>& sim) {
+  // Agents start available with empty queues, so equal simulated states
+  // share one wrapper state, interned once.
+  auto groups = first_appearance_groups(sim, protocol_->num_states(),
+                                        "SknoRuleSource");
+  for (auto& [q, k] : groups) {
+    SknoCore::Agent a;
+    a.sim_state = q;
+    q = intern_agent(a);
+  }
+  return groups;
 }
 
 State SknoRuleSource::starter_after_g(State s, SknoCore::Token& tok,

@@ -197,6 +197,8 @@ class NamingRuleSource final : public SidRuleSource {
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] std::vector<State> intern_initial(
       const std::vector<State>& sim) override;
+  [[nodiscard]] std::vector<std::pair<State, std::size_t>>
+  intern_initial_groups(const std::vector<State>& sim) override;
   [[nodiscard]] State project(State s) const override;
 
   // The full two-layer record of one agent (Nn head + SID body).
@@ -240,6 +242,8 @@ class SknoRuleSource final : public DynamicRuleSource {
   }
   [[nodiscard]] std::vector<State> intern_initial(
       const std::vector<State>& sim) override;
+  [[nodiscard]] std::vector<std::pair<State, std::size_t>>
+  intern_initial_groups(const std::vector<State>& sim) override;
   [[nodiscard]] StatePair outcome(InteractionClass c, State s,
                                   State r) override;
   [[nodiscard]] State project(State s) const override;

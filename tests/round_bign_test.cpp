@@ -1,6 +1,7 @@
 // The n = 10^9 overflow audit: standard workloads built through the
-// count-vector path (registry initial_counts + make_engine_from_counts)
-// must run on the auto engine's round face with every intermediate —
+// count-vector path (registry initial_counts + make_engine_from_counts,
+// and exp::run_replica on top of it) must run on the auto engine's round
+// face with every intermediate —
 // pair weights C[s]*(C[r]-1) ~ 10^18, T = n(n-1), round-length and
 // hypergeometric draws — staying inside u64. CI runs this file under
 // UBSan, so a silent signed/unsigned overflow anywhere on the path is a
@@ -9,9 +10,12 @@
 
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "engine/batch/dispatch.hpp"
+#include "exp/scenario.hpp"
 #include "protocols/registry.hpp"
 
 namespace ppfs {
@@ -23,9 +27,17 @@ std::size_t sum(const std::vector<std::size_t>& v) {
   return std::accumulate(v.begin(), v.end(), std::size_t{0});
 }
 
+template <class W>
+std::vector<std::size_t> histogram(const W& w) {
+  std::vector<std::size_t> h(w.protocol->num_states(), 0);
+  for (const State q : w.initial) ++h.at(q);
+  return h;
+}
+
 TEST(RoundBigN, RegistryCarriesCountsAboveThePerAgentLimit) {
-  // Above kPerAgentLimit every workload must switch to the counts form —
-  // a per-agent vector at 10^9 would allocate gigabytes in the registry.
+  // Every workload carries counts at every n. Above kPerAgentLimit they
+  // are the only form — a per-agent vector at 10^9 would allocate
+  // gigabytes in the registry.
   for (const Workload& w : standard_workloads(kBillion)) {
     EXPECT_TRUE(w.initial.empty()) << w.name;
     ASSERT_FALSE(w.initial_counts.empty()) << w.name;
@@ -36,10 +48,50 @@ TEST(RoundBigN, RegistryCarriesCountsAboveThePerAgentLimit) {
     ASSERT_FALSE(w.initial_counts.empty()) << w.name;
     EXPECT_EQ(sum(w.initial_counts), kBillion) << w.name;
   }
-  // Below the limit the historical per-agent layout is untouched.
+  // Below the limit the historical per-agent layout is untouched, and the
+  // counts are its histogram.
   for (const Workload& w : standard_workloads(64)) {
     EXPECT_EQ(w.initial.size(), 64u) << w.name;
-    EXPECT_TRUE(w.initial_counts.empty()) << w.name;
+    EXPECT_EQ(w.initial_counts, histogram(w)) << w.name;
+  }
+  for (const OneWayWorkload& w : one_way_workloads(64)) {
+    EXPECT_EQ(w.initial.size(), 64u) << w.name;
+    EXPECT_EQ(w.initial_counts, histogram(w)) << w.name;
+  }
+}
+
+exp::ScenarioSpec billion_spec(const std::string& grid) {
+  const std::vector<exp::ScenarioSpec> points = exp::parse_grid(grid).expand();
+  EXPECT_EQ(points.size(), 1u);
+  return points.front();
+}
+
+TEST(RoundBigN, RunReplicaCoversItsStepsAtBillion) {
+  // exp::run_replica builds batch and auto engines from the registry's
+  // counts, so sweeps above kPerAgentLimit run.
+  for (const std::string grid :
+       {"beacon-or@n=1e9:model=IT:engine=auto:steps=2000000",
+        "or@n=1e9:engine=batch:steps=1000000"}) {
+    const exp::ScenarioSpec spec = billion_spec(grid);
+    const exp::ReplicaResult r = exp::run_replica(spec, 0);
+    EXPECT_FALSE(r.failed()) << grid << ": " << r.error;
+    EXPECT_EQ(r.run.steps, spec.fixed_steps) << grid;
+  }
+}
+
+TEST(RoundBigN, RunReplicaNamesTheCountsOnlyLimitForNative) {
+  for (const std::string grid :
+       {"or@n=1e9:engine=native:steps=1000",
+        "beacon-or@n=1e9:model=IT:engine=native:steps=1000"}) {
+    try {
+      (void)exp::run_replica(billion_spec(grid), 0);
+      ADD_FAILURE() << grid << ": no error";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("kPerAgentLimit"), std::string::npos) << what;
+      EXPECT_NE(what.find("engine=native"), std::string::npos) << what;
+      EXPECT_EQ(what.find("empty population"), std::string::npos) << what;
+    }
   }
 }
 
