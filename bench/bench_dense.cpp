@@ -16,6 +16,8 @@
 //   * dense-round-ns:n=10^k — round-face ns per covered interaction for
 //     n in {10^6..10^9}: the sublinear-cost record the acceptance
 //     criterion asks for (cost per interaction shrinks as rounds grow).
+//   * dense-round-ns-uo:n=1e9 — the n = 10^9 row under uo:0.1 with the
+//     default burst cap. CI ceiling: <= 4x dense-round-ns:n=1e9.
 //   * dense-converge-n1e9 — beacon-or run to convergence at n = 10^9
 //     under auto: the "standard workload completes at n = 10^9" row.
 //
@@ -123,6 +125,15 @@ int main(int argc, char** argv) {
                   ns_per, ips);
       json.add_metric(labels[i], ns[i], "IT", "ns_per_interaction", ns_per);
     }
+    // The same n = 10^9 row under the default capped adversary (uo:0.1,
+    // cap 8): each round's omission count must stay O(1) draws, not one
+    // rate coin per delivery. CI floor: at most 4x the plain row.
+    const double ips = measure("auto", 1'000'000'000, Model::IT, "uo:0.1",
+                               steps, bench_seed(41));
+    std::printf("  n=%-12zu %10.2f ns/interaction (%.3e i/s) under uo:0.1\n",
+                std::size_t{1'000'000'000}, 1e9 / ips, ips);
+    json.add_metric("dense-round-ns-uo:n=1e9", 1'000'000'000, "IT",
+                    "ns_per_interaction", 1e9 / ips);
   }
 
   // The completes-at-n=10^9 row: beacon-or to convergence under auto.

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 
 #include "util/rng.hpp"
 
@@ -55,7 +56,8 @@ inline std::size_t sample_bernoulli_run(double p, Rng& rng, std::size_t cap) {
 
 // Successes among n Bernoulli(p) trials, counted by skipping geometric
 // failure gaps — exact (up to the run samplers' ~1e-16 inversion
-// rounding) at O(np) cost regardless of n.
+// rounding). O(np) draws while p < 1/64; at larger p the gap sampler
+// flips one coin per trial, so the cost is O(n).
 inline std::size_t count_sparse_successes(std::size_t n, double p, Rng& rng) {
   std::size_t k = 0;
   std::size_t i = 0;
@@ -100,6 +102,41 @@ inline std::size_t sample_binomial(std::size_t n, double p, Rng& rng) {
   if (v <= 0.0) return 0;
   if (v >= static_cast<double>(n)) return n;
   return static_cast<std::size_t>(v);
+}
+
+// P(some run of at least m ones | `ones` ones placed uniformly among
+// `slots` positions), by inclusion-exclusion over the g = slots-ones+1
+// gaps between zeros, each of which must hold fewer than m ones:
+//   rho = sum_{i>=1} (-1)^(i+1) t_i,
+//   t_i = C(g, i) * C(slots - i*m, g - 1) / C(slots, g - 1).
+// t_{i+1} <= t_i * t_1 / (i+1), so for t_1 <= 1/4 the alternating sum is
+// well-conditioned and stops after a few terms of O(m) arithmetic each.
+// Returns nullopt above that (cancellation would eat the digits).
+inline std::optional<double> long_run_probability(std::size_t slots,
+                                                  std::size_t ones,
+                                                  std::size_t m) {
+  const double s = static_cast<double>(ones);
+  const double l = static_cast<double>(slots);
+  const double g = l - s + 1.0;
+  const double dm = static_cast<double>(m);
+  // t_{i+1} / t_i; zero once i+1 runs of m no longer fit in the ones.
+  const auto next_ratio = [&](double i) {
+    const double base = (i + 1.0) * dm;
+    if (s < base || g <= i) return 0.0;
+    double r = (g - i) / (i + 1.0);
+    for (double k = 1.0; k <= dm; k += 1.0)
+      r *= (s - base + k) / (l - base + k);
+    return r;
+  };
+  double t = next_ratio(0.0);
+  if (t > 0.25) return std::nullopt;
+  double rho = 0.0;
+  double sign = 1.0;
+  for (double i = 1.0; t > 1e-18; i += 1.0, sign = -sign) {
+    rho += sign * t;
+    t *= next_ratio(i);
+  }
+  return rho;
 }
 
 // One leg of the exact BURST-CAPPED omission leap: the step-wise
@@ -255,6 +292,50 @@ inline std::uint64_t hypergeometric_inversion(std::uint64_t N,
     }
   }
   return hi;
+}
+
+// Mode-centered two-sided inversion of Binomial(n, p): the sibling of
+// hypergeometric_inversion above — one uniform, the mode pmf from lgamma,
+// and the exact ratio recurrence
+//   pmf(k+1)/pmf(k) = (n-k)p / ((k+1)q)
+// expanding outward until the cdf mass covers u, so O(sqrt(npq)) steps.
+// Exact up to the rounding of the lgamma-based mode pmf (relative error
+// ~1e-16·n·log n); exhaustion (u in the fp residue above the summed mass)
+// returns the mode.
+inline std::uint64_t binomial_inversion(std::uint64_t n, double p, Rng& rng) {
+  if (n == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return n;
+  const double dn = static_cast<double>(n);
+  const double odds = p / (1.0 - p);
+  const std::uint64_t mode =
+      std::min(n, static_cast<std::uint64_t>((dn + 1.0) * p));
+  const double dmode = static_cast<double>(mode);
+  const double lp0 = lchoose(dn, dmode) + dmode * std::log(p) +
+                     (dn - dmode) * std::log1p(-p);
+  const double u = rng.uniform();
+  double pl = std::exp(lp0);
+  double pr = pl;
+  double acc = pl;
+  if (u < acc) return mode;
+  std::uint64_t l = mode;
+  std::uint64_t r = mode;
+  while ((l > 0 && pl > 0.0) || (r < n && pr > 0.0)) {
+    if (r < n) {
+      const double dr = static_cast<double>(r);
+      pr *= (dn - dr) / (dr + 1.0) * odds;
+      ++r;
+      acc += pr;
+      if (u < acc) return r;
+    }
+    if (l > 0) {
+      const double dl = static_cast<double>(l);
+      pl *= dl / ((dn - dl + 1.0) * odds);
+      --l;
+      acc += pl;
+      if (u < acc) return l;
+    }
+  }
+  return mode;
 }
 
 }  // namespace detail

@@ -35,9 +35,13 @@
 //      only on the position j (the adversary's burst/budget chain), never
 //      on the pair drawn there, and the pair sequence is exchangeable
 //      given the contingency table — so only the COUNT of omissive marks
-//      matters. OmissionProcess::sample_round_omissions walks the
-//      burst/budget chain exactly in O(burst episodes), and the marks are
-//      assigned to cells by one more MVHG split.
+//      matters. OmissionProcess::sample_round_omissions draws that count
+//      exactly: one binomial when the burst cap cannot bind, O(1)
+//      expected draws under a capped adversary whose long bursts are rare
+//      in a round (the default uo:0.1 cap 8), and a walk of the
+//      burst/budget chain — one rate coin per delivery while the rate is
+//      >= 1/64 — when the budget can run out mid-round or bursts are
+//      long. The marks are assigned to cells by one more MVHG split.
 //   5. Application. Every cell (s, r) fires its real and omissive parts
 //      as single count moves (BatchSystem::bulk_fire — the 2l agents are
 //      distinct, so the moves compose exactly), accumulating the touched
@@ -52,7 +56,8 @@
 //
 // Amortized cost per interaction is O(q^2 / l) — sub-constant once rounds
 // are long (l ~ sqrt(n) at full density), which is what pushes standard
-// workloads to n = 10^9. Distribution-exactness is pinned by chi-square
+// workloads to n = 10^9 — plus the omission count's share: O(1/l) on its
+// binomial and capped-round paths, but O(1) per interaction on its walk. Distribution-exactness is pinned by chi-square
 // equivalence against the sequential batch engine with and without
 // adversaries (tests/round_equivalence_test.cpp).
 #pragma once

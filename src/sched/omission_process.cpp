@@ -1,6 +1,7 @@
 #include "sched/omission_process.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -8,6 +9,48 @@
 #include "engine/batch/leap_sampling.hpp"
 
 namespace ppfs {
+namespace {
+
+// Does a uniform placement of `ones` ones among `slots` positions hold a
+// run of at least m? Sequential without-replacement trials, O(slots)
+// draws: the exact fallback where leap::long_run_probability is
+// ill-conditioned (only small windows with a large rate^m reach it).
+bool placement_has_long_run(std::size_t slots, std::size_t ones,
+                            std::size_t m, Rng& rng) {
+  std::size_t run = 0;
+  for (std::size_t j = 0; j < slots && ones > 0; ++j) {
+    if (rng.below(slots - j) < ones) {
+      --ones;
+      if (++run >= m) return true;
+    } else {
+      run = 0;
+    }
+  }
+  return false;
+}
+
+struct CoinSummary {
+  std::size_t ones = 0;
+  bool long_run = false;  // some run of at least m consecutive ones
+};
+
+// `slots` i.i.d. rate-p coins, drawn as their summary: the ones count is
+// one exact binomial draw; given it, the run event is one uniform against
+// leap::long_run_probability, or an explicit placement where that series
+// is ill-conditioned.
+CoinSummary draw_coins(std::size_t slots, double p, std::size_t m, Rng& rng) {
+  CoinSummary c;
+  c.ones = static_cast<std::size_t>(
+      leap::detail::binomial_inversion(slots, p, rng));
+  if (c.ones < m) return c;
+  if (const auto rho = leap::long_run_probability(slots, c.ones, m))
+    c.long_run = rng.uniform() < *rho;
+  else
+    c.long_run = placement_has_long_run(slots, c.ones, m, rng);
+  return c;
+}
+
+}  // namespace
 
 std::string adversary_kind_name(AdversaryKind k) {
   switch (k) {
@@ -165,10 +208,13 @@ std::size_t OmissionProcess::sample_round_omissions(std::size_t deliveries,
     // The cap can never bind again (absorbing) and the budget cannot run
     // out mid-round: every delivery is an independent rate coin. Burst
     // bookkeeping is irrelevant from here on, as in the uncapped leaps.
-    const std::size_t k = leap::sample_binomial(deliveries, p, rng);
+    const std::size_t k = static_cast<std::size_t>(
+        leap::detail::binomial_inversion(deliveries, p, rng));
     emitted_ += k;
     return k;
   }
+  if (remaining_budget() >= deliveries && long_runs_rare(deliveries))
+    return sample_capped_round(deliveries, rng);
   // Exact episode walk over the within-burst Markov chain, one burst
   // episode per iteration (the mark-only sibling of
   // leap::sample_capped_burst_leg).
@@ -212,6 +258,95 @@ std::size_t OmissionProcess::sample_round_omissions(std::size_t deliveries,
     // k == limit: the loop head classifies what bound it (burst cap ->
     // forced real, budget -> real tail, round end -> exit).
   }
+  return om;
+}
+
+bool OmissionProcess::long_runs_rare(std::size_t deliveries) const noexcept {
+  if (params_.max_burst == std::numeric_limits<std::size_t>::max())
+    return false;
+  const double m = static_cast<double>(params_.max_burst) + 1.0;
+  return (static_cast<double>(deliveries) + 1.0) * std::pow(params_.rate, m) <=
+         1.0 / 16;
+}
+
+// Coin coupling: with i.i.d. rate coins c_j the capped chain omits at j
+// exactly when c_j = 1 and the burst is below the cap K, so a window
+// entered at burst 0 differs from its raw coins only inside runs of at
+// least m = K + 1 ones (the (K+1)-th one of a run is the forced real
+// delivery). Per round:
+//   1. close an open burst coin by coin (at most K + 1 coins);
+//   2. count the window's trailing run T with backward coins, up to m;
+//   3. summarize the ell = w - T - 1 coins before the zero that ends it
+//      (draw_coins: S ones, and whether they hold a long run);
+//   4. with no long run anywhere, the round has S + T omissions and
+//      ends at burst T;
+//   5. otherwise redraw from the law given a long run: the end tau of the
+//      first one, a prefix of tau - m - 1 coins free of long runs, K
+//      omissions and the forced real at tau, then repeat from 2 on the
+//      rest of the window.
+// Steps 2-4 decide "no long run" with exactly its probability, so mixing
+// them with step 5 reproduces the chain's joint law of (omissions, final
+// burst). Step 5 runs with probability about deliveries·rate^m.
+std::size_t OmissionProcess::sample_capped_round(std::size_t deliveries,
+                                                 Rng& rng) {
+  const double p = params_.rate;
+  const std::size_t cap = params_.max_burst;
+  const std::size_t m = cap + 1;
+  std::size_t om = 0;
+  std::size_t i = 0;
+  if (burst_ > 0) {
+    const std::size_t room = std::min(cap - burst_, deliveries);
+    const std::size_t k =
+        room == 0 ? 0 : leap::sample_bernoulli_run(1.0 - p, rng, room);
+    om += k;
+    burst_ += k;
+    i += k;
+    if (i < deliveries) {
+      // A real rate coin, or the forced real delivery after a full burst.
+      set_burst(0);
+      ++i;
+    }
+  }
+  std::size_t w = deliveries - i;
+  std::vector<double> first_end;  // F(j) = P(first long run ends by j)
+  while (w > 0) {
+    const std::size_t t =
+        leap::sample_bernoulli_run(1.0 - p, rng, std::min(w, m));
+    if (t < m) {
+      if (t == w) {  // the whole window is one short run
+        om += t;
+        burst_ = t;
+        break;
+      }
+      const CoinSummary head = draw_coins(w - t - 1, p, m, rng);
+      if (!head.long_run) {
+        om += head.ones + t;
+        burst_ = t;
+        break;
+      }
+    }
+    // The window holds a long run. F(m) = p^m, and for j > m the first
+    // completion at j needs a zero at j-m after a prefix free of them:
+    // F(j) = F(j-1) + (1-p)·p^m·(1 - F(j-m-1)).
+    const double pm = std::pow(p, static_cast<double>(m));
+    first_end.assign(w + 1, 0.0);
+    first_end[m] = pm;
+    for (std::size_t j = m + 1; j <= w; ++j)
+      first_end[j] =
+          first_end[j - 1] + (1.0 - p) * pm * (1.0 - first_end[j - m - 1]);
+    const double target = rng.uniform() * first_end[w];
+    std::size_t tau = m;
+    while (tau < w && first_end[tau] <= target) ++tau;
+    CoinSummary prefix;
+    do {
+      prefix = draw_coins(tau > m ? tau - m - 1 : 0, p, m, rng);
+    } while (prefix.long_run);
+    om += prefix.ones + cap;
+    burst_ = cap;
+    set_burst(0);  // the forced real delivery at tau
+    w -= tau;
+  }
+  emitted_ += om;
   return om;
 }
 

@@ -26,6 +26,14 @@
 // (burst_cap_reachable() false, an absorbing condition since
 // burst + remaining budget never increases) — the engines fall back to
 // the cheaper uncapped leaps, which are then exact as-is.
+//
+// The round face counts a whole round's omissions at once
+// (sample_round_omissions). Under a capped adversary it uses a coupling:
+// draw i.i.d. rate coins c_j; the capped chain omits at j exactly when
+// c_j = 1 and the burst is below the cap, so it differs from the raw
+// coins only inside runs of at least m = max_burst + 1 ones. When such
+// runs are rare in a round the count is one binomial draw plus a
+// run-probability correction; otherwise the chain is walked.
 #pragma once
 
 #include <cstdint>
@@ -98,13 +106,20 @@ class OmissionProcess {
   // Exact per-ROUND accounting (the round engine's counterpart of the
   // per-leap splits): the number of omissive marks among `deliveries`
   // consecutive deliveries starting at `step`, advancing the burst/budget
-  // state exactly as that many should_omit() calls would, in O(burst
-  // episodes) draws instead of O(deliveries). The caller must keep the
+  // state exactly as that many should_omit() calls would (same joint law
+  // of omissions, final burst and emitted). The caller must keep the
   // round short of the NO quiet horizon (the round engine caps its length
-  // there), so activity changes mid-round only through budget exhaustion,
-  // which the walk handles; when the burst cap is unreachable and the
-  // budget covers the whole round the count collapses to one
-  // Binomial(deliveries, rate) draw.
+  // there). Three regimes, chosen from (deliveries, rate, cap, budget)
+  // without drawing:
+  //   * the cap can never bind and the budget covers the round: one exact
+  //     Binomial(deliveries, rate) draw;
+  //   * finite cap, budget covering the round, and long runs rare
+  //     ((deliveries + 1)·rate^(cap+1) <= 1/16): O(1) expected draws and
+  //     O(sqrt(deliveries·rate)) arithmetic (sample_capped_round);
+  //   * otherwise an exact walk over the within-burst chain, one burst
+  //     episode per iteration, but one rate coin per delivery while
+  //     rate >= 1/64 — O(deliveries) draws. Budget exhaustion mid-round
+  //     is handled here.
   [[nodiscard]] std::size_t sample_round_omissions(std::size_t deliveries,
                                                    std::size_t step, Rng& rng);
 
@@ -145,6 +160,10 @@ class OmissionProcess {
   }
 
   // Wire the burst-episode-length histogram (obs layer); null detaches.
+  // On the round face adv.burst_len records only the episodes that were
+  // walked: bursts closed coin by coin at a round's start and the long
+  // runs of sample_capped_round. Episodes that a round's binomial count
+  // covers are not recorded.
   // Budget drain is pull-style: engines gauge remaining_budget() at
   // snapshot time instead of instrumenting the draw path.
   void set_metrics(obs::MetricRegistry* reg) {
@@ -171,6 +190,14 @@ class OmissionProcess {
 
  private:
   friend struct AuditTestPeer;  // mutation-smoke state corruption (tests)
+  friend struct OmissionProcessTestPeer;  // forces the capped-round path
+
+  // Do runs of max_burst + 1 rate coins stay rare in a round of
+  // `deliveries`? Finite cap and (deliveries + 1)·rate^(cap+1) <= 1/16.
+  [[nodiscard]] bool long_runs_rare(std::size_t deliveries) const noexcept;
+  // sample_round_omissions under a finite cap whose budget covers the
+  // round: counts the round from the coin coupling instead of walking it.
+  std::size_t sample_capped_round(std::size_t deliveries, Rng& rng);
 
   AdversaryParams params_;
   std::size_t emitted_ = 0;

@@ -1,12 +1,17 @@
 // OmissionProcess: the extracted Def. 1–2 insertion state machine, its
-// batch-side views, the CLI adversary-spec parser, and the exact
-// burst-capped leap sampler the batch engines use to honor max_burst.
+// batch-side views, the CLI adversary-spec parser, the exact
+// burst-capped leap sampler the batch engines use to honor max_burst,
+// the round face's per-round omission count, and the exact binomial
+// sampler behind it.
 #include "sched/omission_process.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "chi_square.hpp"
@@ -14,6 +19,16 @@
 #include "sched/adversary.hpp"
 
 namespace ppfs {
+
+// Reaches the capped-round path directly, so tests can run it at a
+// rate^(cap+1) far above the gate that sample_round_omissions applies.
+struct OmissionProcessTestPeer {
+  static std::size_t capped_round(OmissionProcess& proc,
+                                  std::size_t deliveries, Rng& rng) {
+    return proc.sample_capped_round(deliveries, rng);
+  }
+};
+
 namespace {
 
 AdversaryParams uo(double rate) {
@@ -196,6 +211,201 @@ TEST(BurstLeap, CappedLegMatchesPerDeliverySimulation) {
         << "case " << case_idx << ": chi2=" << stat << " df=" << df;
     ++case_idx;
   }
+}
+
+// One round's (omissions, final burst, emitted) under `count`, against
+// the same number of should_omit() calls from the same starting state.
+// Without a cap the burst counter is dead state, so it is left out.
+struct RoundCell {
+  std::string label;
+  AdversaryParams params;
+  std::size_t burst0;
+  std::size_t deliveries;
+};
+
+using RoundCounter =
+    std::function<std::size_t(OmissionProcess&, std::size_t, Rng&)>;
+
+void expect_round_law(const RoundCell& c, const RoundCounter& count,
+                      std::size_t trials, std::uint64_t seed) {
+  using Counts = ppfs::testing::Counts;
+  std::map<Counts, std::size_t> got, ref;
+  const bool has_cap =
+      c.params.max_burst != std::numeric_limits<std::size_t>::max();
+  const auto key = [has_cap](std::size_t om, const OmissionProcess& proc) {
+    return Counts{om, has_cap ? proc.burst() : 0, proc.emitted()};
+  };
+  Rng rng_got(seed), rng_ref(seed + 1);
+  for (std::size_t i = 0; i < trials; ++i) {
+    OmissionProcess a(c.params);
+    a.set_burst(c.burst0);
+    const std::size_t om = count(a, c.deliveries, rng_got);
+    ++got[key(om, a)];
+    OmissionProcess b(c.params);
+    b.set_burst(c.burst0);
+    std::size_t ref_om = 0;
+    for (std::size_t j = 0; j < c.deliveries; ++j)
+      ref_om += b.should_omit(rng_ref, j) ? 1 : 0;
+    ++ref[key(ref_om, b)];
+  }
+  const auto [stat, df] =
+      ppfs::testing::chi_square_homogeneity(got, ref, trials, trials);
+  EXPECT_GT(df, 0u) << c.label << ": degenerate law";
+  EXPECT_LE(stat, ppfs::testing::chi_square_limit(df))
+      << c.label << ": chi2=" << stat << " df=" << df;
+}
+
+AdversaryParams capped(double rate, std::size_t max_burst) {
+  AdversaryParams p = uo(rate);
+  p.max_burst = max_burst;
+  return p;
+}
+
+// sample_round_omissions on both sides of the long-run gate, from an
+// empty and a full burst, with a binding budget, and uncapped.
+TEST(RoundOmissions, JointLawMatchesPerDeliveryChain) {
+  AdversaryParams budget = capped(0.4, 3);
+  budget.kind = AdversaryKind::Budget;
+  budget.max_omissions = 12;
+  const std::size_t inf = std::numeric_limits<std::size_t>::max();
+  const RoundCell cells[] = {
+      {"fast p=0.1 K=8 b0=0", capped(0.1, 8), 0, 300},
+      {"fast p=0.1 K=8 b0=K", capped(0.1, 8), 8, 300},
+      {"fast p=0.3 K=6 b0=4", capped(0.3, 6), 4, 150},
+      {"walk p=0.5 K=2 b0=0", capped(0.5, 2), 0, 40},
+      {"walk p=0.5 K=2 b0=K", capped(0.5, 2), 2, 40},
+      {"budget binds", budget, 1, 60},
+      {"burst=inf", capped(0.2, inf), 0, 300},
+  };
+  std::uint64_t seed = 31000;
+  for (const RoundCell& c : cells) {
+    expect_round_law(
+        c,
+        [](OmissionProcess& proc, std::size_t l, Rng& rng) {
+          return proc.sample_round_omissions(l, 0, rng);
+        },
+        20000, seed);
+    seed += 2;
+  }
+}
+
+// The capped-round path forced at rates where long runs are common, so
+// its long-run branch (and the explicit-placement fallback) carry much
+// of the mass.
+TEST(RoundOmissions, LongRunBranchMatchesPerDeliveryChain) {
+  const RoundCell cells[] = {
+      {"p=0.5 K=2 b0=0", capped(0.5, 2), 0, 30},
+      {"p=0.5 K=2 b0=K", capped(0.5, 2), 2, 30},
+      {"p=0.3 K=3 b0=1", capped(0.3, 3), 1, 60},
+      {"p=0.8 K=4 b0=0", capped(0.8, 4), 0, 25},
+      {"p=0.2 K=1 b0=1", capped(0.2, 1), 1, 50},
+  };
+  std::uint64_t seed = 32000;
+  for (const RoundCell& c : cells) {
+    expect_round_law(c, OmissionProcessTestPeer::capped_round, 20000, seed);
+    seed += 2;
+  }
+}
+
+// The dense-round adversary (uo:0.1, default cap 8) at a typical round
+// length: the per-delivery walk drew one coin per delivery here.
+TEST(RoundOmissions, CappedRoundDrawsAreConstantPerRound) {
+  OmissionProcess proc(capped(0.1, 8));
+  Rng rng(33000);
+  const std::size_t calls = 2000;
+  for (std::size_t i = 0; i < calls; ++i)
+    (void)proc.sample_round_omissions(1944, 0, rng);
+  const double per_call =
+      static_cast<double>(rng.draw_count()) / static_cast<double>(calls);
+  EXPECT_LT(per_call, 16.0);
+}
+
+// The inclusion-exclusion run probability against enumeration of every
+// placement, wherever the series claims to be well-conditioned.
+TEST(LongRunProbability, MatchesEnumeration) {
+  std::size_t checked = 0;
+  for (std::size_t slots = 0; slots <= 14; ++slots) {
+    for (std::size_t m = 1; m <= 5; ++m) {
+      std::vector<double> with_run(slots + 1, 0.0), all(slots + 1, 0.0);
+      for (std::uint32_t bits = 0; bits < (1u << slots); ++bits) {
+        std::size_t ones = 0, run = 0;
+        bool long_run = false;
+        for (std::size_t j = 0; j < slots; ++j) {
+          if (bits >> j & 1u) {
+            ++ones;
+            long_run = long_run || ++run >= m;
+          } else {
+            run = 0;
+          }
+        }
+        all[ones] += 1.0;
+        if (long_run) with_run[ones] += 1.0;
+      }
+      for (std::size_t ones = 0; ones <= slots; ++ones) {
+        const auto rho = leap::long_run_probability(slots, ones, m);
+        if (!rho) continue;
+        EXPECT_NEAR(*rho, with_run[ones] / all[ones], 1e-12)
+            << "slots=" << slots << " ones=" << ones << " m=" << m;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 200u);
+}
+
+// leap::detail::binomial_inversion against the exact Binomial(n, p) pmf,
+// with bins of expected count below 5 pooled.
+TEST(BinomialInversion, MatchesTheExactPmf) {
+  const std::size_t samples = 20000;
+  std::uint64_t seed = 34000;
+  for (const std::uint64_t n : {1ull, 7ull, 64ull, 1944ull, 1000000ull}) {
+    for (const double p : {1e-3, 0.1, 0.5, 0.97}) {
+      Rng rng(seed++);
+      std::map<std::uint64_t, std::size_t> seen;
+      for (std::size_t i = 0; i < samples; ++i) {
+        const std::uint64_t k = leap::detail::binomial_inversion(n, p, rng);
+        ASSERT_LE(k, n);
+        ++seen[k];
+      }
+      const double dn = static_cast<double>(n);
+      double stat = 0.0;
+      std::size_t bins = 0;
+      double pooled_e = 0.0;
+      double pooled_o = 0.0;
+      for (std::uint64_t k = 0; k <= n; ++k) {
+        const double dk = static_cast<double>(k);
+        const double e =
+            static_cast<double>(samples) *
+            std::exp(std::lgamma(dn + 1) - std::lgamma(dk + 1) -
+                     std::lgamma(dn - dk + 1) + dk * std::log(p) +
+                     (dn - dk) * std::log1p(-p));
+        const auto it = seen.find(k);
+        const double o = it == seen.end() ? 0.0 : static_cast<double>(it->second);
+        if (e < 5.0) {
+          pooled_e += e;
+          pooled_o += o;
+          continue;
+        }
+        stat += (o - e) * (o - e) / e;
+        ++bins;
+      }
+      if (pooled_e > 0.0) {
+        stat += (pooled_o - pooled_e) * (pooled_o - pooled_e) / pooled_e;
+        ++bins;
+      }
+      const std::size_t df = bins > 1 ? bins - 1 : 0;
+      EXPECT_LE(stat, ppfs::testing::chi_square_limit(df))
+          << "n=" << n << " p=" << p << ": chi2=" << stat << " df=" << df;
+    }
+  }
+}
+
+TEST(BinomialInversion, EdgesAreDeterministicAndDrawFree) {
+  Rng rng(35000);
+  EXPECT_EQ(leap::detail::binomial_inversion(100, 0.0, rng), 0u);
+  EXPECT_EQ(leap::detail::binomial_inversion(100, 1.0, rng), 100u);
+  EXPECT_EQ(leap::detail::binomial_inversion(0, 0.5, rng), 0u);
+  EXPECT_EQ(rng.draw_count(), 0u);
 }
 
 TEST(ParseAdversarySpec, AcceptsTheDocumentedForms) {

@@ -5,8 +5,8 @@
 // The reference driver per cell is the one whose omission semantics the
 // round face must reproduce: BatchSystem::advance for unbounded bursts
 // (the leap path treats max_burst as unbounded), BatchSystem::step for
-// the capped-burst cell (step delegates to should_omit, and
-// sample_round_omissions walks the same burst-cap Markov chain). Where
+// the capped-burst cells (step delegates to should_omit, and
+// sample_round_omissions reproduces the same burst-cap Markov chain). Where
 // an adversary is on, the omissions-delivered count joins the outcome
 // category, so the chi-square also pins the round face's omission
 // stream, not just its count moves.
@@ -139,6 +139,27 @@ TEST(RoundEquivalence, TwoWayOrUnderT1WithCappedBurstUO) {
   };
   expect_round_matches(make, Face::Step, 3 * n, 150, 8300, true,
                        "or T1 uo:0.5 burst=2");
+}
+
+// Cell 3b — the benchmark's adversary: uo:0.1 with the default cap of 8.
+// Long runs (9 consecutive rate coins) are rare in every round here, so
+// sample_round_omissions counts each round from the coin coupling
+// instead of walking it; the reference is again the exact step path.
+TEST(RoundEquivalence, BeaconOrUnderI1WithDefaultCappedUO) {
+  const std::size_t n = 48;
+  const Model model = omissive_closure(Model::IT);
+  const OneWayWorkload w = find_one_way_workload("beacon-or", n, model);
+  const AdversaryParams adv = parse_adversary_spec("uo:0.1");
+  ASSERT_EQ(adv.max_burst, 8u);
+  const SysFactory make = [&w, model, adv] {
+    RuleMatrix rules = RuleMatrix::compile(w.protocol, model, w.initial);
+    auto counts = counts_of(w.initial, rules.num_states());
+    BatchSystem sys(std::move(rules), std::move(counts));
+    sys.set_omission_process(adv);
+    return sys;
+  };
+  expect_round_matches(make, Face::Step, 3 * n, 140, 8250, true,
+                       "beacon-or I1 uo:0.1 burst=8");
 }
 
 // Cell 4 — NO quiet horizon falling mid-run: rounds that would cross the
