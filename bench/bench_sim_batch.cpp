@@ -31,6 +31,9 @@
 //   * SKnO at n = 50 to convergence under auto: the paper-scale regime
 //     where count space pays index machinery per interaction for nothing;
 //     auto's dispersion signal sends it to agent space.
+//   * SKnO on the paper's Thm 4.1 cell (pairing, n = 16) under a
+//     budgeted omission adversary: auto must leave count space with the
+//     adversary's state in tow and run near step-wise speed.
 //
 // Usage: bench_sim_batch [--json]     (PPFS_SEED honored)
 //   --json writes BENCH_sim_batch.json with one row per (engine,
@@ -69,13 +72,16 @@ Workload find_workload(const std::string& name, std::size_t n) {
 }
 
 // Drive `budget` interactions (or to convergence when `to_convergence`)
-// and report covered-interactions/sec.
+// under the omission adversary `adversary` ("none" for none) and report
+// covered-interactions/sec.
 Lane run_lane(const std::string& kind, const std::string& spec,
-              const std::string& workload, std::size_t n, std::size_t budget,
-              bool to_convergence, std::uint64_t seed) {
+              const std::string& adversary, const std::string& workload,
+              std::size_t n, std::size_t budget, bool to_convergence,
+              std::uint64_t seed) {
   const Workload w = find_workload(workload, n);
   SimEngineConfig config;
   config.spec = parse_sim_spec(spec);
+  config.adversary = parse_adversary_spec(adversary);
   auto engine = make_sim_engine(kind, w.protocol, w.initial, config);
   UniformScheduler sched(n);
   Rng rng(seed);
@@ -113,6 +119,7 @@ int main(int argc, char** argv) {
     const char* engine;  // fast lane: "batch" (pure count space) or "auto"
     const char* spec;
     const char* model;  // display only
+    const char* adversary;  // parse_adversary_spec form; "none" for none
     const char* workload;
     std::size_t n;
     std::size_t stepwise_budget;  // fixed-interaction budget, step-wise lane
@@ -123,48 +130,54 @@ int main(int argc, char** argv) {
       // The acceptance row: wrapper-free simulator at n = 10^6; the batch
       // lane runs the margin-2 exact majority all the way to the simulated
       // convergence probe, leaping the Theta(n^2)-scale no-op ocean.
-      {"naive-em-1M", "batch", "naive", "TW", "exact-majority(", 1'000'000,
-       4'000'000, 20'000'000'000'000ULL, true},
+      {"naive-em-1M", "batch", "naive", "TW", "none", "exact-majority(",
+       1'000'000, 4'000'000, 20'000'000'000'000ULL, true},
       // SKnO at n = 10^6 over the acceptance window (both lanes cover the
       // SAME first 5*10^5 interactions): the regime where wrapper states
       // collapse, which the delta/cache hot path turns into a >= 10x win.
       // Kept on the fixed batch engine — the honest pure-count rows.
-      {"skno-o8-gap-1M", "batch", "skno:o=8", "I3", "exact-majority-gap",
+      {"skno-o8-gap-1M", "batch", "skno:o=8", "I3", "none", "exact-majority-gap",
        1'000'000, 500'000, 500'000, false},
       // The same workload over a 4x longer window: records how the
       // advantage decays as the token economy disperses the universe (no
       // speedup target on this row — it is the honest sustained number).
-      {"skno-o8-gap-1M-sustained", "batch", "skno:o=8", "I3",
+      {"skno-o8-gap-1M-sustained", "batch", "skno:o=8", "I3", "none",
        "exact-majority-gap", 1'000'000, 2'000'000, 2'000'000, false},
       // The same dense window under engine=auto (the PR 8 dense-regime
       // guard): SKnO mid-convergence is fire-heavy with a collapsed
       // universe, the mislead-prone cell for the monitor's measured
       // fire-cost estimate — auto must stay at least as fast as stepping
       // (CI floor on speedup:dense-skno-auto: >= 1.0).
-      {"dense-skno-auto", "auto", "skno:o=8", "I3", "exact-majority-gap",
+      {"dense-skno-auto", "auto", "skno:o=8", "I3", "none", "exact-majority-gap",
        1'000'000, 500'000, 500'000, false},
       // Paper-scale SKnO to convergence on the simulated projection, under
       // auto: at n = 50 the universe disperses to ~1 state per agent and
       // the monitor sends the run to agent space (pure count space
       // historically ran this at 0.26x step-wise).
-      {"skno-o2-gap-50", "auto", "skno:o=2", "I3", "exact-majority-gap", 50,
-       4'000'000, 40'000'000, true},
+      {"skno-o2-gap-50", "auto", "skno:o=2", "I3", "none",
+       "exact-majority-gap", 50, 4'000'000, 40'000'000, true},
       // SID under auto: dispersion is 1.0 from step 0 (states embed
       // partner identities), so auto runs agent space outright. The
       // acceptance contract on the speedup row is >= 1.0 — never
       // materially slower than the best fixed engine (pure count space
       // was 0.019x here).
-      {"sid-gap-4096", "auto", "sid", "IO", "exact-majority-gap", 4096,
-       2'000'000, 2'000'000, false},
-      {"sid-gap-4096-sustained", "auto", "sid", "IO", "exact-majority-gap",
+      {"sid-gap-4096", "auto", "sid", "IO", "none", "exact-majority-gap",
+       4096, 2'000'000, 2'000'000, false},
+      {"sid-gap-4096-sustained", "auto", "sid", "IO", "none", "exact-majority-gap",
        4096, 8'000'000, 8'000'000, false},
       // Naming under auto: starts collapsed (everyone my_id = 1, count
       // space favored), disperses as ids spread — the natural mid-run
       // count -> agent switch, benched over the same honest window pair.
-      {"naming-gap-4096", "auto", "naming", "IO", "exact-majority-gap", 4096,
-       1'000'000, 1'000'000, false},
-      {"naming-gap-4096-sustained", "auto", "naming", "IO",
+      {"naming-gap-4096", "auto", "naming", "IO", "none",
+       "exact-majority-gap", 4096, 1'000'000, 1'000'000, false},
+      {"naming-gap-4096-sustained", "auto", "naming", "IO", "none",
        "exact-majority-gap", 4096, 4'000'000, 4'000'000, false},
+      // The paper's Thm 4.1 cell (pairing, n = 16, I3, budget:2:0.02):
+      // auto starts collapsed in count space, disperses at once and takes
+      // its omission process along to agent space (CI floor on the
+      // speedup row: >= 0.75 of step-wise).
+      {"skno-o2-pairing-16-budget", "auto", "skno:o=2", "I3", "budget:2:0.02",
+       "pairing", 16, 1'000'000, 1'000'000, false},
   };
 
   ppfs::bench::banner(
@@ -173,10 +186,10 @@ int main(int argc, char** argv) {
                          "fast int/s", "speedup", "live states", "converged"});
   for (const Case& c : cases) {
     std::cerr << "[bench] " << c.label << ": stepwise lane...\n";
-    const Lane stepwise = run_lane("native", c.spec, c.workload, c.n,
-                                   c.stepwise_budget, false, seed);
+    const Lane stepwise = run_lane("native", c.spec, c.adversary, c.workload,
+                                   c.n, c.stepwise_budget, false, seed);
     std::cerr << "[bench] " << c.label << ": " << c.engine << " lane...\n";
-    const Lane fast = run_lane(c.engine, c.spec, c.workload, c.n,
+    const Lane fast = run_lane(c.engine, c.spec, c.adversary, c.workload, c.n,
                                c.fast_budget, c.to_convergence, seed + 1);
     const double speedup = stepwise.ips > 0.0 ? fast.ips / stepwise.ips : 0.0;
     const bool is_auto = std::string(c.engine) == "auto";

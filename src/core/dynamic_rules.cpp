@@ -77,6 +77,7 @@ State StateUniverse::intern(std::string_view bytes) {
     g = (g + step + 1) & group_mask_;
   }
   PPFS_METRIC(m_intern_new_, add());
+  ++fresh_;
   PPFS_TIMER_BEGIN(t0, m_time_intern_);
   State id;
   if (!free_.empty()) {

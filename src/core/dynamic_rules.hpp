@@ -105,6 +105,13 @@ class StateUniverse {
   [[nodiscard]] bool is_live(State s) const {
     return s < slots_.size() && slots_[s] != nullptr;
   }
+  // Encodings interned as new ids so far: intern() calls whose bytes were
+  // not live. A plain counter, kept under PPFS_METRICS=OFF too — the auto
+  // engine's regime monitor reads it. By the cache-invisibility contract
+  // (a cold cache miss re-interns only live ids) it is a function of the
+  // trajectory alone, never of cache contents. Process-local: not part of
+  // save_state.
+  [[nodiscard]] std::uint64_t fresh() const noexcept { return fresh_; }
 
   // Wire intern/patch/GC instrumentation handles (obs/metrics.hpp); null
   // detaches. Purely observational — never changes interning behavior.
@@ -177,6 +184,7 @@ class StateUniverse {
   std::vector<std::size_t> slot_of_;    // id -> table slot
   std::vector<State> free_;
   std::string scratch_;  // intern_patched working buffer, reused across calls
+  std::uint64_t fresh_ = 0;
 
   obs::Counter* m_intern_new_ = nullptr;   // encodings first seen
   obs::Counter* m_intern_hit_ = nullptr;   // lookups that found a live id
@@ -421,6 +429,10 @@ class DynamicRuleSource {
   // < 1, conceding fire-heavy windows to agent space. The default is
   // inert.
   [[nodiscard]] virtual double fire_cost_ratio() const { return 8.0; }
+  // Wrapper encodings interned as new ids so far (StateUniverse::fresh of
+  // the source's universe) — the regime monitor's cold-fire signal. A
+  // closed universe interns nothing: 0.
+  [[nodiscard]] virtual std::uint64_t fresh_interned() const { return 0; }
 
   // Runtime-contract audit (util/audit.hpp): re-check source-internal
   // invariants — the interning universe's table consistency and the

@@ -242,15 +242,16 @@ class AdaptiveBatchEngine final : public Engine {
       covered += c;
       PPFS_AUDIT_INVOKE(sys_.audit_invariants());
       // Density is the exact per-delivery fire probability, so the
-      // monitor's dispersion channel carries it directly; the cache
-      // channel is neutral (no cache here) and the fire-cost override
-      // stays cold (both faces already ARE count space). Arbitration is
-      // deterministic — the draw ledger pins that no Rng draw hides here
-      // (a draw would silently shift the trajectory across face switches).
+      // monitor's dispersion channel carries it directly; the fresh-id
+      // channel is neutral (nothing is interned here) and the fire-cost
+      // override stays cold (both faces already ARE count space).
+      // Arbitration is deterministic — the draw ledger pins that no Rng
+      // draw hides here (a draw would silently shift the trajectory across
+      // face switches).
       {
         PPFS_DRAW_FREE(rng, "AdaptiveBatchEngine regime arbitration");
         (void)monitor_->observe(
-            RegimeMonitor::Signals{sys_.fire_density(), 1.0, 0.0});
+            RegimeMonitor::Signals{.dispersion = sys_.fire_density()});
       }
     }
     return covered;
@@ -482,9 +483,13 @@ class SimBatchEngine final : public Engine {
 // uniform scheduler. Stats from both strategies fold into one master
 // RunStats at the simulated-projection level.
 //
-// With an omission adversary the favored START representation is locked
-// for the whole run: the process's burst/budget state is live mid-run and
-// is not transferred across representations.
+// An omission adversary is ONE OmissionProcess owned here and lent to
+// whichever face runs: the agent driver gets it per advance() together
+// with the global step index, the count face through
+// SimBatchSystem::lend_omission_process, with a bridged SimBatchSystem
+// starting at the global step. Burst, budget and the NO horizon therefore
+// carry across every switch, and auto arbitrates under adversaries exactly
+// as without one.
 class AutoSimEngine final : public Engine {
  public:
   AutoSimEngine(std::shared_ptr<DynamicRuleSource> rules,
@@ -498,7 +503,9 @@ class AutoSimEngine final : public Engine {
         force_switch_at_(force_switch_at) {
     driver_ = make_agent_space_sim(*rules_);
     sys_ = std::make_unique<SimBatchSystem>(rules_, sim_initial, cache_cap_);
+    if (adversary) sys_->lend_omission_process(omit_.emplace(*adversary));
     n_ = sys_->size();
+    slice_ = std::clamp<std::size_t>(16 * n_, kMinSlice, kMaxSlice);
     const double d0 = static_cast<double>(sys_->universe_live()) /
                       static_cast<double>(n_);
     RegimeMonitor::Thresholds thr;
@@ -506,19 +513,12 @@ class AutoSimEngine final : public Engine {
     monitor_.emplace(driver_ ? RegimeMonitor::favored(d0, thr)
                              : RegimeMonitor::Space::Count,
                      thr);
-    if (adversary) {
-      adv_ = adversary;
-      locked_ = true;
-    }
     if (driver_ && monitor_->current() == RegimeMonitor::Space::Agent)
       to_agent_space();
-    if (adv_) {
-      if (in_agent_) omit_.emplace(*adv_);
-      else sys_->set_omission_process(*adv_);
-    }
-    // The monitor reads its signals (dispersion, windowed cache hit rate)
-    // from the engine registry; enabling it up front is free on the hot
-    // path — everything it needs is pull-style.
+    last_fresh_ = rules_->fresh_interned();  // initial interning is not a fire
+    // The auto.* gauges are how the engine reports its arbitration, so it
+    // carries a registry from construction; everything the monitor reads
+    // is engine state, never the registry.
     enable_metrics();
   }
 
@@ -533,8 +533,7 @@ class AutoSimEngine final : public Engine {
   [[nodiscard]] std::size_t size() const override { return n_; }
   [[nodiscard]] std::size_t interactions() const override { return steps_; }
   [[nodiscard]] std::size_t omissions() const override {
-    if (!adv_) return 0;
-    return in_agent_ ? omit_->emitted() : sys_->omissions();
+    return omit_ ? omit_->emitted() : 0;
   }
 
   void counts_into(std::vector<std::size_t>& out) const override {
@@ -551,7 +550,7 @@ class AutoSimEngine final : public Engine {
           "engine; omission adversaries attach via make_sim_engine)");
     std::size_t covered = 0;
     while (covered < budget) {
-      const std::size_t slice = std::min(kSlice, budget - covered);
+      const std::size_t slice = std::min(slice_, budget - covered);
       if (in_agent_) {
         driver_->advance(slice, rng, stats_, omit_ ? &*omit_ : nullptr,
                          steps_);
@@ -579,29 +578,24 @@ class AutoSimEngine final : public Engine {
 
   [[nodiscard]] RunStats& stats() noexcept override { return stats_; }
 
+  // Exact, with or without an adversary: arbitration reads only state that
+  // round-trips — the master stats, the live universe and the fresh-id
+  // window, whose in-window partial is saved below.
   [[nodiscard]] bool checkpointable() const override {
     return rules_->checkpointable();
-  }
-  // Arbitration reads windowed cache-counter deltas (windowed_hit_rate)
-  // that reset with the process — a restored replica would observe a cold
-  // window the uninterrupted run never saw and could switch differently.
-  // Exactness therefore requires arbitration to be inert: adversary-locked
-  // runs never switch, and a count-only source has nothing to switch to.
-  [[nodiscard]] bool checkpoint_exact() const override {
-    return checkpointable() && (locked_ || driver_ == nullptr);
   }
 
   void save_state(bin::Writer& w) const override {
     w.u8(in_agent_ ? 1 : 0);
     if (in_agent_) {
       // Agent face: the interner plus the per-agent records ARE the
-      // population; the adversary chain lives engine-side here.
+      // population.
       rules_->save_checkpoint(w);
       driver_->save_records(w);
-      if (adv_) omit_->save_state(w);
+      if (omit_) omit_->save_state(w);
     } else {
       // Count face: the SimBatchSystem payload embeds the rule-source
-      // checkpoint and the omission process it owns.
+      // checkpoint and the state of the process it runs under.
       sys_->save_state(w);
     }
     stats_.save_state(w);
@@ -612,6 +606,7 @@ class AutoSimEngine final : public Engine {
     w.var(last_distinct_);
     w.var(last_fires_);
     w.var(last_fire_steps_);
+    w.var(rules_->fresh_interned() - last_fresh_);
   }
 
   void restore_state(bin::Reader& r) override {
@@ -624,19 +619,12 @@ class AutoSimEngine final : public Engine {
     // its payload; the bridge's placeholder contents are overwritten
     // wholesale below (rules_->restore_checkpoint resets the interner,
     // restore_records / sys_->restore_state reset the population).
-    if (agent && !in_agent_) {
-      to_agent_space();
-    } else if (!agent && in_agent_) {
-      to_count_space();
-      if (adv_) sys_->set_omission_process(*adv_);
-    }
+    if (agent && !in_agent_) to_agent_space();
+    else if (!agent && in_agent_) to_count_space();
     if (agent) {
       rules_->restore_checkpoint(r);
       driver_->restore_records(r);
-      if (adv_) {
-        if (!omit_) omit_.emplace(*adv_);
-        omit_->restore_state(r);
-      }
+      if (omit_) omit_->restore_state(r);
     } else {
       sys_->restore_state(r);
     }
@@ -648,11 +636,8 @@ class AutoSimEngine final : public Engine {
     last_distinct_ = r.var();
     last_fires_ = r.var();
     last_fire_steps_ = r.var();
-    // The windowed cache-hit baseline is deliberately NOT serialized: the
-    // underlying counters reset with the process, so the window restarts
-    // cold (harmless exactly when checkpoint_exact() held at save time).
-    last_hits_ = 0;
-    last_misses_ = 0;
+    // The fresh-id counter is process-local: rebase the window on it.
+    last_fresh_ = rules_->fresh_interned() - r.var();
   }
 
   [[nodiscard]] std::size_t universe_live() const override {
@@ -670,9 +655,7 @@ class AutoSimEngine final : public Engine {
     reg.gauge("auto.agent_space").set(in_agent_ ? 1.0 : 0.0);
     reg.gauge("auto.switches")
         .set(static_cast<double>(monitor_->switches()));
-    const OmissionProcess* o =
-        in_agent_ ? (omit_ ? &*omit_ : nullptr) : sys_->omission_process();
-    if (o != nullptr) sync_adversary_metrics(reg, *o);
+    if (omit_) sync_adversary_metrics(reg, *omit_);
   }
 
   void fill_summary(obs::ConfigSummary& out, std::size_t top_k) const override {
@@ -692,8 +675,12 @@ class AutoSimEngine final : public Engine {
 
   // Internal slice between regime checks — independent of the caller's
   // advance() granularity, so run_engine_steps(2M) still re-evaluates the
-  // regime along the way.
-  static constexpr std::size_t kSlice = 1u << 16;
+  // regime along the way. Count space observes once per slice of
+  // clamp(16 n, 2^12, 2^16) interactions: a switch takes `hysteresis`
+  // observations, and at small n a fixed 2^16 slice held the run in the
+  // wrong face for a large share of short windows.
+  static constexpr std::size_t kMinSlice = 1u << 12;
+  static constexpr std::size_t kMaxSlice = 1u << 16;
 
   void fold_count_stats() {
     stats_.merge(sys_->stats());
@@ -712,9 +699,8 @@ class AutoSimEngine final : public Engine {
       monitor_->note_forced(in_agent_ ? Space::Agent : Space::Count);
       return;
     }
-    if (locked_) return;
     if (in_agent_ && steps_ < next_obs_) return;
-    next_obs_ = steps_ + std::max(kSlice, n_);
+    next_obs_ = steps_ + std::max(slice_, n_);
     double live;
     if (in_agent_) {
       last_distinct_ = driver_->distinct_wrapper_estimate();
@@ -722,47 +708,36 @@ class AutoSimEngine final : public Engine {
     } else {
       live = static_cast<double>(sys_->universe_live());
     }
-    const RegimeMonitor::Signals s{live / static_cast<double>(n_),
-                                   windowed_hit_rate(),
-                                   windowed_fire_fraction()};
-    const Space want = monitor_->observe(s);
+    const Space want =
+        monitor_->observe(window_signals(live / static_cast<double>(n_)));
     if (want == Space::Agent && !in_agent_) to_agent_space();
     else if (want == Space::Count && in_agent_) to_count_space();
   }
 
-  // Hit rate of the source-internal outcome caches since the last
-  // observation; 1.0 (neutral) when nothing moved. The counter names
-  // cover both reactor-side sources (cache.react.*) and SKnO
-  // (cache.recv.*); absent names read as 0.
-  [[nodiscard]] double windowed_hit_rate() {
-    obs::MetricRegistry& reg = *metrics();
-    rules_->export_metrics(reg);
-    const std::uint64_t hits = reg.counter("cache.react.hits").value() +
-                               reg.counter("cache.recv.hits").value();
-    const std::uint64_t misses = reg.counter("cache.react.misses").value() +
-                                 reg.counter("cache.recv.misses").value();
-    const std::uint64_t dh = hits - last_hits_;
-    const std::uint64_t dm = misses - last_misses_;
-    last_hits_ = hits;
-    last_misses_ = misses;
-    return dh + dm == 0
-               ? 1.0
-               : static_cast<double>(dh) / static_cast<double>(dh + dm);
-  }
-
-  // Fires (real + omissive) per interaction covered since the last
-  // observation, from the master RunStats — count-space slices fold in
-  // before maybe_switch() and the agent driver records directly, so the
-  // deltas are representation-independent (and deterministic per seed,
-  // unlike wall-clock probing — reproducibility survives).
-  [[nodiscard]] double windowed_fire_fraction() {
+  // The windowed signals since the last observation: fires (real +
+  // omissive) per interaction covered, and fresh wrapper ids interned per
+  // fire. Both come from the master RunStats and the source's fresh-id
+  // counter — count-space slices fold in before maybe_switch() and the
+  // agent driver records directly, so the deltas are
+  // representation-independent, and they are functions of the trajectory
+  // alone (deterministic per seed, unlike wall-clock probing, and blind to
+  // cache contents).
+  [[nodiscard]] RegimeMonitor::Signals window_signals(double dispersion) {
     const std::uint64_t fires = stats_.total_fires() + stats_.omissive_fires();
+    const std::uint64_t fresh = rules_->fresh_interned();
     const std::uint64_t df = fires - last_fires_;
     const std::uint64_t dsteps = steps_ - last_fire_steps_;
+    const std::uint64_t dfresh = fresh - last_fresh_;
     last_fires_ = fires;
     last_fire_steps_ = steps_;
-    return dsteps == 0 ? 0.0
-                       : static_cast<double>(df) / static_cast<double>(dsteps);
+    last_fresh_ = fresh;
+    RegimeMonitor::Signals s;
+    s.dispersion = dispersion;
+    if (df != 0)
+      s.fresh_per_fire = static_cast<double>(dfresh) / static_cast<double>(df);
+    if (dsteps != 0)
+      s.fire_fraction = static_cast<double>(df) / static_cast<double>(dsteps);
+    return s;
   }
 
   void to_agent_space() {
@@ -782,7 +757,7 @@ class AutoSimEngine final : public Engine {
     if (rules_->open_universe())
       for (const auto& [s, k] : pairs) rules_->release_state(s);
     in_agent_ = true;
-    next_obs_ = steps_ + std::max(kSlice, n_);
+    next_obs_ = steps_ + std::max(slice_, n_);
   }
 
   void to_count_space() {
@@ -797,9 +772,12 @@ class AutoSimEngine final : public Engine {
       i = j;
     }
     sys_ = std::make_unique<SimBatchSystem>(
-        rules_, SimBatchSystem::AdoptWrappers{}, pairs, cache_cap_);
+        rules_, SimBatchSystem::AdoptWrappers{}, pairs, cache_cap_, steps_);
     if (metrics() != nullptr) sys_->set_metrics(metrics());
+    if (omit_) sys_->lend_omission_process(*omit_);
     in_agent_ = false;
+    // The bridge's own re-interning is not a fire: restart the window.
+    last_fresh_ = rules_->fresh_interned();
   }
 
   std::shared_ptr<DynamicRuleSource> rules_;
@@ -810,18 +788,16 @@ class AutoSimEngine final : public Engine {
   std::optional<std::size_t> cache_cap_;
   std::optional<std::size_t> force_switch_at_;
   bool forced_done_ = false;
-  std::optional<AdversaryParams> adv_;
-  std::optional<OmissionProcess> omit_;  // agent-space-locked runs only
-  bool locked_ = false;
+  std::optional<OmissionProcess> omit_;  // the one process, lent to the face
   bool in_agent_ = false;
   std::size_t n_ = 0;
+  std::size_t slice_ = kMaxSlice;
   std::size_t steps_ = 0;
   std::size_t next_obs_ = 0;
   std::size_t last_distinct_ = 0;
-  std::uint64_t last_hits_ = 0;
-  std::uint64_t last_misses_ = 0;
   std::uint64_t last_fires_ = 0;
   std::uint64_t last_fire_steps_ = 0;
+  std::uint64_t last_fresh_ = 0;
 };
 
 // Count-vector construction point, shared by build() below and the
@@ -1031,21 +1007,28 @@ std::unique_ptr<Engine> make_sim_engine(const std::string& kind,
         make_spec_simulator(config.spec, model, std::move(protocol), initial),
         adversary);
   }
-  if (kind == "batch") {
-    auto rules = make_sim_rule_source(config.spec, model, std::move(protocol),
-                                      initial.size());
+  return make_sim_engine(kind,
+                         make_sim_rule_source(config.spec, model,
+                                              std::move(protocol),
+                                              initial.size()),
+                         initial, config);
+}
+
+std::unique_ptr<Engine> make_sim_engine(const std::string& kind,
+                                        std::shared_ptr<DynamicRuleSource> rules,
+                                        const std::vector<State>& initial,
+                                        const SimEngineConfig& config) {
+  std::optional<AdversaryParams> adversary = config.adversary;
+  if (adversary && adversary->rate <= 0.0) adversary.reset();
+  if (kind == "batch")
     return std::make_unique<SimBatchEngine>(std::move(rules), initial,
                                             adversary,
                                             config.outcome_cache_capacity);
-  }
-  if (kind == "auto") {
-    std::shared_ptr<DynamicRuleSource> rules = make_sim_rule_source(
-        config.spec, model, std::move(protocol), initial.size());
+  if (kind == "auto")
     return std::make_unique<AutoSimEngine>(std::move(rules), initial,
                                            adversary,
                                            config.outcome_cache_capacity,
                                            config.auto_force_switch_at);
-  }
   throw std::invalid_argument("make_sim_engine: unknown engine kind '" + kind +
                               "'");
 }

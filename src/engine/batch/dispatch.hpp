@@ -97,11 +97,9 @@ class Engine {
   // round-trips; rules, protocol and adversary parameters come back from
   // the construction path. checkpoint_exact() additionally guarantees the
   // restored replica's FUTURE trajectory (and therefore every downstream
-  // aggregate) is byte-identical to the uninterrupted run. The auto
-  // simulator engine arbitrates representations on windowed cache-counter
-  // deltas that do not survive a process restart, so it reports exact
-  // only once arbitration is inert (adversary-locked or count-only rule
-  // source); everything else that is checkpointable is exact.
+  // aggregate) is byte-identical to the uninterrupted run. Every engine
+  // that is checkpointable is exact: the auto simulator engine arbitrates
+  // only on state its checkpoint carries (never on cache contents).
   [[nodiscard]] virtual bool checkpointable() const { return false; }
   [[nodiscard]] virtual bool checkpoint_exact() const {
     return checkpointable();
@@ -226,13 +224,22 @@ struct SimEngineConfig {
 // and may switch between count space and a direct agent-space driver at
 // slice boundaries, steered by a RegimeMonitor (engine/batch/regime.hpp)
 // with hysteresis — the contract is that auto is never materially slower
-// than the best fixed choice. With an adversary attached, auto picks the
-// favored start representation and locks it (omission-process state does
-// not transfer across representations). The count-space kinds intern
-// each distinct initial wrapper state once (DynamicRuleSource::
+// than the best fixed choice. An omission adversary does not stop it: the
+// engine owns the one omission process and carries it, with the global
+// step index, across every switch. The count-space kinds intern each
+// distinct initial wrapper state once (DynamicRuleSource::
 // intern_initial_groups) and never keep `initial`.
 [[nodiscard]] std::unique_ptr<Engine> make_sim_engine(
     const std::string& kind, std::shared_ptr<const Protocol> protocol,
+    const std::vector<State>& initial, const SimEngineConfig& config);
+
+// The count-space kinds ("batch", "auto") over a rule source the caller
+// built with make_sim_rule_source, and possibly tuned (its internal cache
+// capacities, say). The source fixes the simulator and the model, so
+// config.spec and config.model are not read; `initial` holds simulated
+// states, one per agent, and the source must not have run yet.
+[[nodiscard]] std::unique_ptr<Engine> make_sim_engine(
+    const std::string& kind, std::shared_ptr<DynamicRuleSource> rules,
     const std::vector<State>& initial, const SimEngineConfig& config);
 
 [[nodiscard]] const std::vector<std::string>& engine_kinds();

@@ -9,24 +9,25 @@ RegimeMonitor::Space RegimeMonitor::observe(const Signals& s) {
     return space_;
   }
   // What this observation argues for, if anything. The mid band between
-  // the two thresholds is sticky by default; a collapsed cache hit rate
+  // the two thresholds is sticky by default; a window of mostly cold fires
   // breaks the tie toward agent space (see the header).
   bool wants_agent = s.dispersion >= t_.to_agent;
   bool wants_count = s.dispersion <= t_.to_count;
-  if (s.fire_fraction * measured_fire_cost(s.cache_hit_rate, t_) >
+  if (s.fire_fraction * measured_fire_cost(s.fresh_per_fire, t_) >
       t_.fire_cost_ratio) {
     // The window's measured count-space fire cost exceeds the native
     // per-step cost: fires dominate and each one is cheaper stepped as a
     // record than cached+interned as a count move — collapsed or not,
     // count space loses this regime (see the header: naming's early
     // id-assignment phase vs SKnO's expensive value step). With a fully
-    // warm cache this is the classic fire_fraction > fire_cost_ratio
-    // test; a measured miss rate scales the left side up, because every
-    // miss re-runs the native value step on top of the count move.
+    // warm window this is the classic fire_fraction > fire_cost_ratio
+    // test; cold fires scale the left side up, because each re-runs the
+    // native value step on top of the count move.
     wants_agent = true;
     wants_count = false;
   }
-  if (!wants_agent && !wants_count && s.cache_hit_rate < t_.mid_hit_floor)
+  if (!wants_agent && !wants_count &&
+      cold_share(s.fresh_per_fire) > t_.mid_cold_share)
     wants_agent = true;
   const bool out_of_band = (space_ == Space::Count && wants_agent) ||
                            (space_ == Space::Agent && wants_count);

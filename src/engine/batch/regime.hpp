@@ -27,14 +27,20 @@
 //     plain stepping. Count space is therefore only tenable while
 //     fire_fraction <= fire_cost_ratio — above it, fires dominate the
 //     window and each one is cheaper executed as a record step.
-//   * cache hit rate over the last observation window (cache.react.* /
-//     cache.recv.* counters). A secondary, mid-band accelerator only: a
-//     missing cache does not rescue a dispersed run (SKnO at n = 50 runs
-//     ~99% hit rates and still loses 4x in count space — the per-
-//     interaction index machinery, not outcome evaluation, dominates), so
-//     high dispersion switches regardless; but a collapsing hit rate in
-//     the mid band is evidence the pair working set outgrew the cache and
-//     agent space will win sooner.
+//   * fresh wrapper ids per fire over the last observation window: the
+//     encodings the window's fires interned that were not live
+//     (DynamicRuleSource::fresh_interned). Every fresh id is the product
+//     of a cold fire — a cache serves only live successors — so this reads
+//     the window's cold-fire share without looking at any cache: by the
+//     cache-invisibility contract it is a function of the trajectory
+//     alone, and a restored checkpoint observes exactly what the
+//     uninterrupted run did. A secondary, mid-band accelerator only: a
+//     warm run does not rescue a dispersed one (SKnO at n = 50 runs ~99%
+//     cache hits and still loses 4x in count space — the per-interaction
+//     index machinery, not outcome evaluation, dominates), so high
+//     dispersion switches regardless; but a rising fresh-id rate in the
+//     mid band is evidence the pair working set keeps leaving what is
+//     live, and agent space will win sooner.
 //
 // Switch discipline (the no-flap contract): `hysteresis` consecutive
 // out-of-band observations are required before a switch, and `cooldown`
@@ -44,6 +50,7 @@
 // hysteresis exists for the noisy neighborhood of a threshold.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -58,14 +65,14 @@ class RegimeMonitor {
   struct Thresholds {
     double to_agent = 0.5;     // dispersion at/above which agent space wins
     double to_count = 0.125;   // dispersion at/below which count space wins
-    double mid_hit_floor = 0.5;  // mid-band: hit rate below this => agent
+    double mid_cold_share = 0.5;  // mid-band: cold share above this => agent
     // Source's native-step / cached-fire cost estimate
     // (DynamicRuleSource::fire_cost_ratio) — the COLD-START PRIOR of the
     // measured cost model: count space holds only while the windowed
-    // fire fraction times measured_fire_cost(hit_rate) stays at/below
-    // it. With a warm cache that reduces to fire_fraction <=
-    // fire_cost_ratio; a measured miss rate inflates the per-fire cost
-    // by the prior, since every miss re-runs the native value step. The
+    // fire fraction times measured_fire_cost(fresh_per_fire) stays
+    // at/below it. In a window that interns nothing new that reduces to
+    // fire_fraction <= fire_cost_ratio; cold fires inflate the per-fire
+    // cost by the prior, since each re-runs the native value step. The
     // default is inert (fractions never exceed 1).
     double fire_cost_ratio = 8.0;
     int hysteresis = 2;        // consecutive out-of-band obs to switch
@@ -74,7 +81,7 @@ class RegimeMonitor {
 
   struct Signals {
     double dispersion = 0.0;       // distinct wrapper states / n
-    double cache_hit_rate = 1.0;   // windowed; 1.0 = no signal/neutral
+    double fresh_per_fire = 0.0;   // windowed; 0.0 = no signal/neutral
     double fire_fraction = 0.0;    // windowed fires / interactions covered
   };
 
@@ -82,7 +89,7 @@ class RegimeMonitor {
   RegimeMonitor(Space start, const Thresholds& t) : t_(t), space_(start) {}
 
   // The representation favored a priori at dispersion `d` (run start: no
-  // cache history yet).
+  // window history yet).
   [[nodiscard]] static Space favored(double d, const Thresholds& t) {
     return d >= t.to_agent ? Space::Agent : Space::Count;
   }
@@ -90,16 +97,27 @@ class RegimeMonitor {
     return favored(d, Thresholds());
   }
 
+  // Fresh ids per fire at which a window reads as all cold. Calibrated on
+  // SKnO at n = 20000, o = 2: near the mid-band decision its windows
+  // intern ~1.5 fresh ids per cache miss, so a cold share of 0.5 sits
+  // where a 0.5 cache hit rate did.
+  static constexpr double kFreshPerColdFire = 1.5;
+
+  // Share of the window's fires that ran cold, estimated from the fresh
+  // ids they interned (capped at 1).
+  [[nodiscard]] static double cold_share(double fresh_per_fire) {
+    return std::min(1.0, fresh_per_fire / kFreshPerColdFire);
+  }
+
   // MEASURED per-fire count-space cost for the window, in cached-fire
-  // units: a cache hit costs one unit, a miss re-runs the native value
-  // step (the source's fire_cost_ratio — now a cold-start PRIOR for the
-  // miss cost, not the whole story) on top of it. Deterministic and
-  // draw-free: the hit rate comes from counters the engines already
-  // export. With hit_rate = 1 (warm cache, or no cache signal at all)
-  // this is exactly the pre-measurement constant model.
-  [[nodiscard]] static double measured_fire_cost(double hit_rate,
+  // units: a warm fire costs one unit, a cold one re-runs the native value
+  // step (the source's fire_cost_ratio — a cold-start PRIOR for that
+  // cost) on top of it. Deterministic and draw-free. With no fresh ids
+  // (a warm window, or no signal at all) this is exactly the constant
+  // model.
+  [[nodiscard]] static double measured_fire_cost(double fresh_per_fire,
                                                  const Thresholds& t) {
-    return 1.0 + (1.0 - hit_rate) * t.fire_cost_ratio;
+    return 1.0 + cold_share(fresh_per_fire) * t.fire_cost_ratio;
   }
 
   // Feed one observation; returns the representation to run in from now

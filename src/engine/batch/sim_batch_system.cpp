@@ -82,8 +82,8 @@ SimBatchSystem::SimBatchSystem(std::shared_ptr<DynamicRuleSource> rules,
 SimBatchSystem::SimBatchSystem(
     std::shared_ptr<DynamicRuleSource> rules, AdoptWrappers,
     const std::vector<std::pair<State, std::size_t>>& wrappers,
-    std::optional<std::size_t> outcome_cache_capacity)
-    : rules_(std::move(rules)) {
+    std::optional<std::size_t> outcome_cache_capacity, std::size_t start_step)
+    : rules_(std::move(rules)), steps_(start_step) {
   if (!rules_) throw std::invalid_argument("SimBatchSystem: null rule source");
   std::size_t n = 0;
   for (const auto& [s, k] : wrappers) n += k;
@@ -118,22 +118,26 @@ void SimBatchSystem::set_metrics(obs::MetricRegistry* reg) {
 }
 
 void SimBatchSystem::set_omission_process(const AdversaryParams& params) {
-  if (!is_omissive(rules_->model()))
-    throw std::invalid_argument(
-        "SimBatchSystem: model " + model_name(rules_->model()) +
-        " has no omission adversary");
-  if (params.rate < 0.0 || params.rate > 1.0)
-    throw std::invalid_argument(
-        "SimBatchSystem: omission rate must be in [0, 1]");
   if (steps_ != 0)
     throw std::invalid_argument(
         "SimBatchSystem: attach the omission process before the run starts");
   // max_burst is honored as-is, exactly as on BatchSystem: advance()
   // samples the within-burst Markov chain, sharing the burst counter with
   // step()'s should_omit.
-  omit_.emplace(params);
+  lend_omission_process(own_omit_.emplace(params));
+}
+
+void SimBatchSystem::lend_omission_process(OmissionProcess& process) {
+  if (!is_omissive(rules_->model()))
+    throw std::invalid_argument(
+        "SimBatchSystem: model " + model_name(rules_->model()) +
+        " has no omission adversary");
+  if (process.rate() < 0.0 || process.rate() > 1.0)
+    throw std::invalid_argument(
+        "SimBatchSystem: omission rate must be in [0, 1]");
+  omit_ = &process;
   omit_->set_metrics(metrics_reg_);
-  omit_class_ = omission_class_for(rules_->model(), params.side);
+  omit_class_ = omission_class_for(rules_->model(), process.params().side);
 }
 
 void SimBatchSystem::grow_to_universe() {
@@ -622,7 +626,7 @@ void SimBatchSystem::restore_state(bin::Reader& r) {
   steps_ = r.var();
   stats_.restore_state(r);
   const bool had_omit = r.u8() != 0;
-  if (had_omit != omit_.has_value())
+  if (had_omit != (omit_ != nullptr))
     throw std::runtime_error(
         "SimBatchSystem::restore_state: omission-process mismatch");
   if (omit_) omit_->restore_state(r);

@@ -241,17 +241,29 @@ class SimBatchSystem {
   // Adopt an ALREADY-INTERNED wrapper population — pairs of (live wrapper
   // id, agent count), entered in the given order — instead of interning
   // fresh simulated initial states (the engine=auto representation
-  // bridge). Trajectory bookkeeping (steps, stats, omission process)
-  // starts empty; the auto engine carries those across representation
-  // switches itself.
+  // bridge). The step counter starts at `start_step`, the run's global
+  // step index: an omission process compares its NO horizon and activity
+  // against it. Stats start empty. The auto engine folds stats into its
+  // master record and lends its one omission process to whichever face is
+  // running (lend_omission_process), so the process and the global step
+  // both arrive through the bridge.
   struct AdoptWrappers {};
   SimBatchSystem(std::shared_ptr<DynamicRuleSource> rules, AdoptWrappers,
                  const std::vector<std::pair<State, std::size_t>>& wrappers,
-                 std::optional<std::size_t> outcome_cache_capacity = {});
+                 std::optional<std::size_t> outcome_cache_capacity = {},
+                 std::size_t start_step = 0);
+
+  // The system may hold a pointer to its own omission process.
+  SimBatchSystem(const SimBatchSystem&) = delete;
+  SimBatchSystem& operator=(const SimBatchSystem&) = delete;
 
   // Attach an omission process (Def. 1–2); the source's model must be
   // omissive. Must be called before the run starts.
   void set_omission_process(const AdversaryParams& params);
+  // Run under a process the caller owns and keeps alive (the auto
+  // engine's, carried across representation switches with its burst and
+  // budget state). Same model requirement; no start-of-run restriction.
+  void lend_omission_process(OmissionProcess& process);
 
   // Cover at most `budget` uniform-scheduler interactions: leap the
   // geometric run of no-ops, then fire count-changing rules. Factored
@@ -289,7 +301,7 @@ class SimBatchSystem {
     return omit_ ? omit_->emitted() : 0;
   }
   [[nodiscard]] const OmissionProcess* omission_process() const noexcept {
-    return omit_ ? &*omit_ : nullptr;
+    return omit_;
   }
 
   [[nodiscard]] RunStats& stats() noexcept { return stats_; }
@@ -388,7 +400,8 @@ class SimBatchSystem {
   mutable bool projected_valid_ = true;
   std::size_t steps_ = 0;
   RunStats stats_;
-  std::optional<OmissionProcess> omit_;
+  std::optional<OmissionProcess> own_omit_;  // set_omission_process
+  OmissionProcess* omit_ = nullptr;         // own_omit_ or a lent process
   InteractionClass omit_class_ = InteractionClass::OmitBoth;
   bool weights_valid_ = false;  // general mode
   std::uint64_t w_real_ = 0;    // general mode

@@ -82,6 +82,9 @@ class SidRuleSource : public DynamicRuleSource {
   // off in >= ~98% no-op windows where leaping carries the load. (Covers
   // NamingRuleSource too.)
   [[nodiscard]] double fire_cost_ratio() const override { return 0.02; }
+  [[nodiscard]] std::uint64_t fresh_interned() const override {
+    return universe_.fresh();
+  }
 
   // Successor construction strategy: with patches on (the default), react()
   // turns the SidCore Action footprint into one ByteEdit against the
@@ -256,6 +259,9 @@ class SknoRuleSource final : public DynamicRuleSource {
   // delta-fire on the o=8 acceptance window — so fire-heavy windows do
   // NOT argue against count space here.
   [[nodiscard]] double fire_cost_ratio() const override { return 8.0; }
+  [[nodiscard]] std::uint64_t fresh_interned() const override {
+    return universe_.fresh();
+  }
   [[nodiscard]] bool starter_silent(State s) override;
 
   [[nodiscard]] const SknoCore::Stats& core_stats() const noexcept {

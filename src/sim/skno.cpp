@@ -1,6 +1,7 @@
 #include "sim/skno.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <stdexcept>
 
@@ -35,7 +36,9 @@ SknoCore::SknoCore(const Protocol* protocol, Model model,
       model_(model),
       o_(omission_bound),
       options_(options),
-      track_provenance_(track_provenance) {
+      track_provenance_(track_provenance),
+      consume_(o_ + 1 > kMaskIndices ? &SknoCore::try_consume_scan
+                                     : &SknoCore::try_consume_masked) {
   validate_skno_model(model, omission_bound);
 }
 
@@ -106,89 +109,115 @@ void SknoCore::receive(Agent& a, const std::optional<Token>& tok, Emits* emits,
   run_checks(a, emits, fp);
 }
 
-std::optional<SknoCore::Consumed> SknoCore::try_consume(
-    Agent& a, Token::Kind kind, std::optional<State> q_filter) {
-  // Candidate payloads in queue order (deterministic).
-  auto& candidates = scratch_candidates_;
+// Tokens of identical value are interchangeable, so which instances a
+// consumption removes is a free choice — but it must be a *value-level*
+// choice, or the count-space rule source (whose states carry no run ids)
+// would realize a different chain than the step-wise simulator. Canonical
+// rule: the candidate payloads are tried in order of first appearance;
+// the first one holding at least one real token, with enough jokers for
+// its missing indices, is consumed — the FIRST queue occurrence of each
+// index 1..o+1 it holds, then the first jokers in queue order for the
+// rest. Provenance (verification only) is the run id of the token filling
+// the smallest index.
+std::optional<SknoCore::Consumed> SknoCore::try_consume_masked(
+    SknoCore& core, Agent& a, Token::Kind kind, std::optional<State> q_filter) {
+  const std::uint32_t top = static_cast<std::uint32_t>(core.o_) + 1;
+  std::size_t jokers = 0;
+  std::size_t matching = 0;
+  for (const Token& t : a.sending) {
+    if (t.kind == Token::Kind::Joker) ++jokers;
+    else if (t.kind == kind && (!q_filter || t.q == *q_filter)) ++matching;
+  }
+  // Exact early exit: a candidate's real tokens are among the matching
+  // ones, so no candidate can fill the run.
+  if (matching + jokers < top) return std::nullopt;
+  // One pass: each candidate payload, in queue order, with the bitmask of
+  // the valid indices it holds.
+  auto& cands = core.scratch_masked_;
+  cands.clear();
+  for (const Token& t : a.sending) {
+    if (t.kind != kind || (q_filter && t.q != *q_filter)) continue;
+    auto c = std::find_if(cands.begin(), cands.end(), [&](const Masked& m) {
+      return m.q == t.q && m.qr == t.qr;
+    });
+    if (c == cands.end()) c = cands.insert(c, Masked{t.q, t.qr, 0});
+    if (t.index >= 1 && t.index <= top) c->mask |= std::uint64_t{1} << t.index;
+  }
+  for (const Masked& c : cands) {
+    const auto have = static_cast<std::uint32_t>(std::popcount(c.mask));
+    // At least one real token required.
+    if (have == 0 || top - have > jokers) continue;
+    return core.consume_run(a, kind, c.q, c.qr, top - have);
+  }
+  return std::nullopt;
+}
+
+std::optional<SknoCore::Consumed> SknoCore::try_consume_scan(
+    SknoCore& core, Agent& a, Token::Kind kind, std::optional<State> q_filter) {
+  const std::uint32_t top = static_cast<std::uint32_t>(core.o_) + 1;
+  auto& candidates = core.scratch_candidates_;
   candidates.clear();
-  for (const auto& t : a.sending) {
-    if (t.kind != kind) continue;
-    if (q_filter && t.q != *q_filter) continue;
+  std::size_t jokers = 0;
+  for (const Token& t : a.sending) {
+    if (t.kind == Token::Kind::Joker) ++jokers;
+    if (t.kind != kind || (q_filter && t.q != *q_filter)) continue;
     const std::pair<State, State> payload{t.q, t.qr};
     if (std::find(candidates.begin(), candidates.end(), payload) == candidates.end())
       candidates.push_back(payload);
   }
-  std::size_t jokers_avail = 0;
-  for (const auto& t : a.sending)
-    if (t.kind == Token::Kind::Joker) ++jokers_avail;
-
+  auto& seen = core.scratch_taken_;
   for (const auto& [q, qr] : candidates) {
-    // Tokens of identical value are interchangeable, so which instances we
-    // remove is a free choice — but it must be a *value-level* choice, or
-    // the count-space rule source (whose states carry no run ids) would
-    // realize a different chain than the step-wise simulator. Canonical
-    // rule: consume the FIRST queue occurrence of each index 1..o+1, fill
-    // the rest from jokers. Provenance (verification only) is the run id
-    // of the token filling the smallest index.
-    // Indices 1..o+1 fit the stack buffer for the token-packable range
-    // (o <= 62); the step-wise face accepts larger bounds, which fall
-    // back to the reused heap scratch.
-    std::ptrdiff_t pos_small[64];
-    std::ptrdiff_t* pos = pos_small;
-    if (o_ + 2 > 64) {
-      scratch_pos_.resize(o_ + 2);
-      pos = scratch_pos_.data();
-    }
-    std::fill(pos, pos + o_ + 2, -1);
-    std::size_t have = 0;
-    for (std::size_t i = 0; i < a.sending.size(); ++i) {
-      const Token& t = a.sending[i];
+    seen.assign(top + 1, 0);
+    std::uint32_t have = 0;
+    for (const Token& t : a.sending) {
       if (t.kind != kind || t.q != q || t.qr != qr) continue;
-      if (t.index < 1 || t.index > o_ + 1) continue;
-      if (pos[t.index] < 0) {
-        pos[t.index] = static_cast<std::ptrdiff_t>(i);
-        ++have;
-      }
+      if (t.index < 1 || t.index > top || seen[t.index]) continue;
+      seen[t.index] = 1;
+      ++have;
     }
-    if (have == 0) continue;  // at least one real token required
-    const std::size_t missing = (o_ + 1) - have;
-    if (missing > jokers_avail) continue;
-
-    // Consume: remove the chosen real tokens and `missing` jokers; record
-    // the substituted values in the joker-debt list.
-    auto& remove = scratch_remove_;
-    remove.assign(a.sending.size(), 0);
-    std::uint64_t primary = 0;
-    bool primary_set = false;
-    for (std::uint32_t i = 1; i <= o_ + 1; ++i) {
-      if (pos[i] >= 0) {
-        remove[static_cast<std::size_t>(pos[i])] = 1;
-        if (!primary_set) {
-          primary = a.sending[static_cast<std::size_t>(pos[i])].run;
-          primary_set = true;
-        }
-      } else {
-        a.joker_debt.push_back(Token{kind, q, qr, i, 0});
-      }
-    }
-    std::size_t jokers_needed = missing;
-    for (std::size_t i = 0; i < a.sending.size() && jokers_needed > 0; ++i) {
-      if (!remove[i] && a.sending[i].kind == Token::Kind::Joker) {
-        remove[i] = 1;
-        --jokers_needed;
-      }
-    }
-    stats_.jokers_used += missing;
-
-    auto& rest = scratch_rest_;
-    rest.clear();
-    for (std::size_t i = 0; i < a.sending.size(); ++i)
-      if (!remove[i]) rest.push_back(a.sending[i]);
-    a.sending.assign(rest.begin(), rest.end());
-
-    return Consumed{primary, q, qr};
+    if (have == 0 || top - have > jokers) continue;
+    return core.consume_run(a, kind, q, qr, top - have);
   }
   return std::nullopt;
+}
+
+SknoCore::Consumed SknoCore::consume_run(Agent& a, Token::Kind kind, State q,
+                                         State qr, std::uint32_t missing) {
+  const std::uint32_t top = static_cast<std::uint32_t>(o_) + 1;
+  auto& taken = scratch_taken_;
+  taken.assign(top + 1, 0);
+  std::uint32_t primary_index = top + 1;
+  std::uint64_t primary = 0;
+  std::uint32_t jokers_needed = missing;
+  // Remove the canonical tokens, compacting the queue in place.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < a.sending.size(); ++i) {
+    const Token& t = a.sending[i];
+    bool drop = false;
+    if (t.kind == Token::Kind::Joker) {
+      if (jokers_needed > 0) {
+        --jokers_needed;
+        drop = true;
+      }
+    } else if (t.kind == kind && t.q == q && t.qr == qr && t.index >= 1 &&
+               t.index <= top && !taken[t.index]) {
+      taken[t.index] = 1;
+      drop = true;
+      if (t.index < primary_index) {
+        primary_index = t.index;
+        primary = t.run;
+      }
+    }
+    if (drop) continue;
+    if (kept != i) a.sending[kept] = t;
+    ++kept;
+  }
+  a.sending.resize(kept);
+  // The substituted values become joker debt, in index order.
+  for (std::uint32_t i = 1; i <= top; ++i)
+    if (!taken[i]) a.joker_debt.push_back(Token{kind, q, qr, i, 0});
+  stats_.jokers_used += missing;
+  return Consumed{primary, q, qr};
 }
 
 void SknoCore::run_checks(Agent& a, Emits* emits, Footprint& fp) {

@@ -178,6 +178,8 @@ class SknoCore {
   }
 
  private:
+  friend struct SknoCoreTestPeer;  // reference run search (tests)
+
   // Starter routine g: refill when available with an empty queue, then pop
   // and return the front token (if any). Records into `fp`.
   std::optional<Token> apply_g(Agent& a, Footprint& fp);
@@ -199,7 +201,33 @@ class SknoCore {
     State qr;
   };
   std::optional<Consumed> try_consume(Agent& a, Token::Kind kind,
-                                      std::optional<State> q_filter);
+                                      std::optional<State> q_filter) {
+    return consume_(*this, a, kind, q_filter);
+  }
+  // The two searches behind it, chosen by o at construction; both make
+  // the same canonical choice. While o + 1 fits one word (kMaskIndices),
+  // a counting pass exits early when even every matching token and joker
+  // together fall short, then one pass builds every candidate payload's
+  // index bitmask and popcounts decide; larger bounds rescan the queue
+  // per candidate.
+  using ConsumeFn = std::optional<Consumed> (*)(SknoCore&, Agent&, Token::Kind,
+                                                std::optional<State>);
+  static std::optional<Consumed> try_consume_masked(
+      SknoCore& core, Agent& a, Token::Kind kind, std::optional<State> q_filter);
+  static std::optional<Consumed> try_consume_scan(
+      SknoCore& core, Agent& a, Token::Kind kind, std::optional<State> q_filter);
+  // Consume the (kind, q, qr) run, `missing` of whose indices come from
+  // jokers (recorded as joker debt).
+  Consumed consume_run(Agent& a, Token::Kind kind, State q, State qr,
+                       std::uint32_t missing);
+
+  // Indices 1..o+1 as bits 1..63 of one word.
+  static constexpr std::uint32_t kMaskIndices = 63;
+  struct Masked {
+    State q;
+    State qr;
+    std::uint64_t mask;  // bit i: the queue holds index i of this payload
+  };
 
   void note_queue_size(const Agent& a);
 
@@ -208,16 +236,16 @@ class SknoCore {
   std::size_t o_;
   Options options_;
   bool track_provenance_;
+  ConsumeFn consume_;
   std::uint64_t next_run_ = 1;
   Stats stats_;
   StepFootprint footprint_;
   // try_consume scratch, reused across calls: the count-space hot path
   // runs millions of steps per second and per-call allocations were
   // measured to dominate the outcome-cache miss cost.
-  std::vector<std::pair<State, State>> scratch_candidates_;
-  std::vector<std::ptrdiff_t> scratch_pos_;  // heap fallback for o > 62
-  std::vector<char> scratch_remove_;
-  std::vector<Token> scratch_rest_;
+  std::vector<Masked> scratch_masked_;
+  std::vector<std::pair<State, State>> scratch_candidates_;  // o + 1 > 63
+  std::vector<char> scratch_taken_;  // per-index flags, 0..o+1
 };
 
 class SknoSimulator final : public Simulator {

@@ -43,43 +43,58 @@ TEST(RegimeMonitor, FavoredSplitsOnDispersion) {
 TEST(RegimeMonitor, HysteresisRequiresConsecutiveObservations) {
   RegimeMonitor m(Space::Count);
   // One out-of-band observation is not enough (hysteresis = 2)...
-  EXPECT_EQ(m.observe({0.9, 1.0}), Space::Count);
+  EXPECT_EQ(m.observe({0.9, 0.0}), Space::Count);
   // ...an in-band one resets the streak...
-  EXPECT_EQ(m.observe({0.05, 1.0}), Space::Count);
-  EXPECT_EQ(m.observe({0.9, 1.0}), Space::Count);
+  EXPECT_EQ(m.observe({0.05, 0.0}), Space::Count);
+  EXPECT_EQ(m.observe({0.9, 0.0}), Space::Count);
   // ...and only the second consecutive one switches.
-  EXPECT_EQ(m.observe({0.9, 1.0}), Space::Agent);
+  EXPECT_EQ(m.observe({0.9, 0.0}), Space::Agent);
   EXPECT_EQ(m.switches(), 1u);
 }
 
 TEST(RegimeMonitor, CooldownSuppressesImmediateFlapBack) {
   RegimeMonitor m(Space::Count);
-  (void)m.observe({0.9, 1.0});
-  ASSERT_EQ(m.observe({0.9, 1.0}), Space::Agent);
+  (void)m.observe({0.9, 0.0});
+  ASSERT_EQ(m.observe({0.9, 0.0}), Space::Agent);
   // The next `cooldown` observations are ignored even if they argue for
   // count space...
   for (int i = 0; i < m.thresholds().cooldown; ++i)
-    EXPECT_EQ(m.observe({0.01, 1.0}), Space::Agent) << "cooldown obs " << i;
+    EXPECT_EQ(m.observe({0.01, 0.0}), Space::Agent) << "cooldown obs " << i;
   // ...after which a fresh hysteresis streak can flip back.
-  EXPECT_EQ(m.observe({0.01, 1.0}), Space::Agent);
-  EXPECT_EQ(m.observe({0.01, 1.0}), Space::Count);
+  EXPECT_EQ(m.observe({0.01, 0.0}), Space::Agent);
+  EXPECT_EQ(m.observe({0.01, 0.0}), Space::Count);
   EXPECT_EQ(m.switches(), 2u);
 }
 
-TEST(RegimeMonitor, MidBandIsStickyUnlessCacheCollapses) {
+TEST(RegimeMonitor, MidBandIsStickyUnlessFiresRunCold) {
   RegimeMonitor sticky(Space::Count);
-  // Mid-band dispersion with a healthy cache never argues for a switch.
+  // Mid-band dispersion with mostly warm fires never argues for a switch.
   for (int i = 0; i < 8; ++i)
-    EXPECT_EQ(sticky.observe({0.3, 0.95}), Space::Count);
+    EXPECT_EQ(sticky.observe({0.3, 0.1}), Space::Count);
   EXPECT_EQ(sticky.switches(), 0u);
-  // A collapsed hit rate in the mid band breaks the tie toward agent space.
+  // Fires that keep interning fresh ids break the tie toward agent space.
   RegimeMonitor m(Space::Count);
-  EXPECT_EQ(m.observe({0.3, 0.2}), Space::Count);
-  EXPECT_EQ(m.observe({0.3, 0.2}), Space::Agent);
+  EXPECT_EQ(m.observe({0.3, 1.2}), Space::Count);
+  EXPECT_EQ(m.observe({0.3, 1.2}), Space::Agent);
   // In agent space the same mid-band signal is in-band (no flap back).
-  for (int i = 0; i < 8; ++i) (void)m.observe({0.3, 0.2});
+  for (int i = 0; i < 8; ++i) (void)m.observe({0.3, 1.2});
   EXPECT_EQ(m.current(), Space::Agent);
   EXPECT_EQ(m.switches(), 1u);
+}
+
+TEST(RegimeMonitor, FreshIdWindowsSwitchTheCalibrationCell) {
+  // The windows of exact-majority-gap@n=20000, SKnO o = 2, seed 42 — the
+  // cell the mid-band rule exists for (its cache hit rate falls from 0.87
+  // to 0.46 over them). It leaves count space at the 6th observation,
+  // about 3.9e5 interactions in — the step kFreshPerColdFire is
+  // calibrated to.
+  const RegimeMonitor::Signals windows[] = {
+      {0.166, 0.147, 0.931}, {0.282, 0.428, 0.831}, {0.339, 0.605, 0.794},
+      {0.372, 0.701, 0.780}, {0.398, 0.786, 0.773}, {0.415, 0.842, 0.761}};
+  RegimeMonitor m(Space::Count);
+  for (int i = 0; i < 5; ++i)
+    EXPECT_EQ(m.observe(windows[i]), Space::Count) << "observation " << i + 1;
+  EXPECT_EQ(m.observe(windows[5]), Space::Agent);
 }
 
 TEST(RegimeMonitor, FireHeavyWindowsOverrideCollapsedDispersion) {
@@ -90,35 +105,39 @@ TEST(RegimeMonitor, FireHeavyWindowsOverrideCollapsedDispersion) {
   RegimeMonitor::Thresholds t;
   t.fire_cost_ratio = 0.25;
   RegimeMonitor m(Space::Count, t);
-  EXPECT_EQ(m.observe({0.03, 1.0, 0.9}), Space::Count);  // hysteresis
-  EXPECT_EQ(m.observe({0.03, 1.0, 0.9}), Space::Agent);
+  EXPECT_EQ(m.observe({0.03, 0.0, 0.9}), Space::Count);  // hysteresis
+  EXPECT_EQ(m.observe({0.03, 0.0, 0.9}), Space::Agent);
   // Fires above the ratio also VETO a return to count space...
   for (int i = 0; i < t.cooldown + 4; ++i)
-    EXPECT_EQ(m.observe({0.03, 1.0, 0.9}), Space::Agent);
+    EXPECT_EQ(m.observe({0.03, 0.0, 0.9}), Space::Agent);
   EXPECT_EQ(m.switches(), 1u);
   // ...and once the run goes no-op-dominated (leapable), collapsed
   // dispersion pulls it back.
-  EXPECT_EQ(m.observe({0.03, 1.0, 0.1}), Space::Agent);
-  EXPECT_EQ(m.observe({0.03, 1.0, 0.1}), Space::Count);
+  EXPECT_EQ(m.observe({0.03, 0.0, 0.1}), Space::Agent);
+  EXPECT_EQ(m.observe({0.03, 0.0, 0.1}), Space::Count);
   EXPECT_EQ(m.switches(), 2u);
   // An expensive-step source (SKnO: ratio > 1) never sees the veto —
   // the same fire-heavy collapsed window stays in count space.
   RegimeMonitor skno(Space::Count);
   for (int i = 0; i < 8; ++i)
-    EXPECT_EQ(skno.observe({0.03, 1.0, 1.0}), Space::Count);
+    EXPECT_EQ(skno.observe({0.03, 0.0, 1.0}), Space::Count);
   EXPECT_EQ(skno.switches(), 0u);
 }
 
-TEST(RegimeMonitor, MeasuredFireCostReducesToPriorAtWarmCache) {
-  // The windowed cost model: a hit costs one cached-fire unit, a miss
-  // re-runs the native value step (the source's fire_cost_ratio, now the
-  // cold-start PRIOR for the miss cost). With a warm cache the model is
-  // exactly the pre-measurement constant one.
+TEST(RegimeMonitor, MeasuredFireCostReducesToPriorInWarmWindows) {
+  // The windowed cost model: a warm fire costs one cached-fire unit, a
+  // cold one re-runs the native value step (the source's
+  // fire_cost_ratio, the cold-start PRIOR for that cost). The cold share
+  // is the window's fresh ids per fire over kFreshPerColdFire, capped
+  // at 1. A window that interns nothing new is exactly the constant model.
   const RegimeMonitor::Thresholds t;  // fire_cost_ratio = 8
-  EXPECT_DOUBLE_EQ(RegimeMonitor::measured_fire_cost(1.0, t), 1.0);
-  EXPECT_DOUBLE_EQ(RegimeMonitor::measured_fire_cost(0.0, t),
+  EXPECT_DOUBLE_EQ(RegimeMonitor::measured_fire_cost(0.0, t), 1.0);
+  constexpr double kCold = RegimeMonitor::kFreshPerColdFire;
+  EXPECT_DOUBLE_EQ(RegimeMonitor::measured_fire_cost(kCold, t),
                    1.0 + t.fire_cost_ratio);
-  EXPECT_DOUBLE_EQ(RegimeMonitor::measured_fire_cost(0.5, t),
+  EXPECT_DOUBLE_EQ(RegimeMonitor::measured_fire_cost(5.0, t),
+                   1.0 + t.fire_cost_ratio);
+  EXPECT_DOUBLE_EQ(RegimeMonitor::measured_fire_cost(0.5 * kCold, t),
                    1.0 + 0.5 * t.fire_cost_ratio);
 }
 
@@ -126,23 +145,23 @@ TEST(RegimeMonitor, MisleadProneRegimeConvergesViaMeasuredCost) {
   // The regression the measured model exists for: an expensive-step
   // source (ratio 8) in a mid-band, fire-heavy window. The static
   // constant model says count space holds (ff 0.95 <= 8, dispersion in
-  // band) — but when the window's cache is COLD every fire re-runs the
+  // band) — but when every fire of the window runs COLD it re-runs the
   // native step on top of the count move, so count space is the wrong
   // face. The measured model (0.95 * (1 + 8) > 8) converges to agent
   // space within hysteresis.
   const RegimeMonitor::Thresholds t;
   RegimeMonitor cold(Space::Count, t);
-  const RegimeMonitor::Signals misled{0.3, 0.0, 0.95};
+  const RegimeMonitor::Signals misled{0.3, 2.0, 0.95};
   EXPECT_EQ(cold.observe(misled), Space::Count);  // hysteresis obs 1
   EXPECT_EQ(cold.observe(misled), Space::Agent);  // converged
   EXPECT_EQ(cold.switches(), 1u);
-  // Identical window with a warm cache is genuinely count-space-friendly
-  // (fires cost one cached unit each) and must NOT switch. This pins
-  // backward compatibility: hit_rate = 1 reduces the measured model to
-  // the old fire_fraction <= fire_cost_ratio test.
+  // Identical window with warm fires is genuinely count-space-friendly
+  // (fires cost one cached unit each) and must NOT switch: no fresh ids
+  // reduce the measured model to the fire_fraction <= fire_cost_ratio
+  // test.
   RegimeMonitor warm(Space::Count, t);
   for (int i = 0; i < 8; ++i)
-    EXPECT_EQ(warm.observe({0.3, 1.0, 0.95}), Space::Count);
+    EXPECT_EQ(warm.observe({0.3, 0.0, 0.95}), Space::Count);
   EXPECT_EQ(warm.switches(), 0u);
 }
 
@@ -153,9 +172,9 @@ TEST(RegimeMonitor, NoteForcedAdoptsSpaceAndStartsCooldown) {
   EXPECT_EQ(m.switches(), 1u);
   // The monitor must not immediately fight the forced switch.
   for (int i = 0; i < m.thresholds().cooldown; ++i)
-    EXPECT_EQ(m.observe({0.01, 1.0}), Space::Agent);
-  EXPECT_EQ(m.observe({0.01, 1.0}), Space::Agent);
-  EXPECT_EQ(m.observe({0.01, 1.0}), Space::Count);
+    EXPECT_EQ(m.observe({0.01, 0.0}), Space::Agent);
+  EXPECT_EQ(m.observe({0.01, 0.0}), Space::Agent);
+  EXPECT_EQ(m.observe({0.01, 0.0}), Space::Count);
 }
 
 // ---------------------------------------------------------------------------
@@ -243,9 +262,9 @@ TEST(AutoEngine, SknoMatchesBatch) {
 }
 
 TEST(AutoEngine, SknoUnderAdversaryMatchesBatch) {
-  // With an adversary the auto engine locks its start representation (the
-  // omission process's burst/budget state does not transfer); the omission
-  // stream is appended to the category so it must match too.
+  // Under an adversary the auto engine still arbitrates, carrying its one
+  // omission process across any switch; the omission stream is appended
+  // to the category so it must match too.
   const std::size_t n = 8;
   const Workload w = standard_workloads(n)[3];
   AdversaryParams adv;
@@ -258,8 +277,8 @@ TEST(AutoEngine, SknoUnderAdversaryMatchesBatch) {
 }
 
 TEST(AutoEngine, SidUnderAdversaryMatchesBatch) {
-  // Agent-space-locked adversary path: SID starts dispersed so auto locks
-  // agent space and owns the OmissionProcess directly.
+  // Agent-space adversary path: SID starts dispersed, so auto runs agent
+  // space and hands the driver its OmissionProcess on every advance().
   const std::size_t n = 8;
   const Workload w = standard_workloads(n)[0];  // or
   AdversaryParams adv;
@@ -286,6 +305,86 @@ TEST(AutoEngine, ForcedMidRunSwitchMatchesBatch) {
   naming.auto_force_switch_at = 5 * 6;
   expect_auto_matches_batch(wn.protocol, wn.initial, naming, 6, 12 * 6, 120,
                             4701, "auto/naming forced count->agent");
+}
+
+// ---------------------------------------------------------------------------
+// The carried omission process
+// ---------------------------------------------------------------------------
+
+TEST(AutoEngine, PaperCellLeavesCountSpaceUnderAdversary) {
+  // The Thm 4.1 cell: pairing at n = 16 in I3 under budget:2:0.02. It
+  // starts collapsed (count space) and disperses within a few
+  // observations. The omission process rides the bridge, so the run ends
+  // in agent space after exactly one switch with the whole budget spent.
+  const std::size_t n = 16;
+  const Workload w = find_workload("pairing", n);
+  SimEngineConfig config =
+      spec_config("skno:o=2", parse_adversary_spec("budget:2:0.02"));
+  config.model = Model::I3;
+  auto engine = make_sim_engine("auto", w.protocol, w.initial, config);
+  EXPECT_EQ(engine->active_kind(), "count");
+  UniformScheduler sched(n);
+  Rng rng(5001);
+  (void)run_engine_steps(*engine, sched, rng, 100000);
+  EXPECT_EQ(engine->interactions(), 100000u);
+  EXPECT_EQ(engine->active_kind(), "agent");
+  engine->sync_metrics();
+  EXPECT_EQ(engine->metrics()->gauge("auto.switches").value(), 1.0);
+  EXPECT_EQ(engine->omissions(), 2u);
+}
+
+TEST(AutoEngine, ForcedSwitchMidBurstMatchesBatch) {
+  // A capped-burst UO adversary (rate 0.5, at most 2 omissions in a row):
+  // a forced switch lands inside a burst on a large share of the trials,
+  // so the burst counter must cross the bridge intact, in both
+  // directions, for the omission stream to match the fixed engine.
+  const std::size_t n = 8;
+  const Workload w = standard_workloads(n)[3];
+  const AdversaryParams adv = parse_adversary_spec("uo:0.5:burst=2");
+  // SKnO starts collapsed: forced count -> agent at the first boundary,
+  // before the monitor's second observation could switch it.
+  SimEngineConfig skno = spec_config("skno:o=2", adv);
+  skno.auto_force_switch_at = n;
+  expect_auto_matches_batch(w.protocol, w.initial, skno, n, 10 * n, 120, 5101,
+                            "auto/skno+uo:burst=2 forced count->agent");
+  // SID starts dispersed: forced agent -> count.
+  SimEngineConfig sid = spec_config("sid", adv);
+  sid.auto_force_switch_at = 3 * n;
+  expect_auto_matches_batch(w.protocol, w.initial, sid, n, 10 * n, 120, 5201,
+                            "auto/sid+uo:burst=2 forced agent->count");
+}
+
+TEST(AutoEngine, QuietHorizonIsGlobalAcrossForcedSwitch) {
+  // no:Q at rate 1 with no burst cap omits every delivery before global
+  // step Q and none after. A count face that restarted its step count at
+  // the bridge would keep omitting past Q; the carried global step stops
+  // it exactly there. Both runs are forced into count space shortly
+  // before Q (SID from its agent-space start; SKnO after the monitor has
+  // taken it to agent space) and the cooldown keeps them there across Q.
+  const std::size_t n = 8;
+  const std::size_t q = 200;
+  const Workload w = standard_workloads(n)[3];
+  const AdversaryParams adv = parse_adversary_spec("no:200:1.0:burst=inf");
+  for (const char* sim : {"skno:o=2", "sid"}) {
+    SimEngineConfig config = spec_config(sim, adv);
+    config.auto_force_switch_at = q - 2 * n;
+    auto engine = make_sim_engine("auto", w.protocol, w.initial, config);
+    UniformScheduler sched(n);
+    Rng rng(5301);
+    std::size_t done = 0;
+    while (done < 2 * q) {
+      if (done == q - 3 * n) {
+        EXPECT_EQ(engine->active_kind(), "agent") << sim;
+      }
+      if (done == q) {
+        EXPECT_EQ(engine->active_kind(), "count") << sim;
+      }
+      done += engine->advance(n, sched, rng);
+      ASSERT_EQ(engine->omissions(), std::min(done, q))
+          << sim << " after " << done << " interactions on the "
+          << engine->active_kind() << " face";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@
 // (non-checkpointable native engines refuse loudly).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "engine/batch/dispatch.hpp"
 #include "engine/workload_runner.hpp"
 #include "exp/scenario.hpp"
+#include "sim/sim_rules.hpp"
 #include "util/binio.hpp"
 
 namespace ppfs::exp {
@@ -32,32 +35,41 @@ std::string digest(const ReplicaResult& r) {
   return std::move(os).str();
 }
 
-// Run trial 0 of `spec` twice: once straight through, once split across a
-// mid-run snapshot (capture at the first eligible slice, then restore into
-// a fresh replica). Both halves must agree byte-for-byte.
-void expect_resume_exact(const ScenarioSpec& spec) {
-  const ReplicaResult whole = run_replica(spec, 0);
-
+// Trial 0 of `spec` with a snapshot captured every `every` interactions;
+// the capturing run itself must agree with the uninterrupted one.
+std::vector<ReplicaSnapshot> capture(const ScenarioSpec& spec,
+                                     const ReplicaResult& whole,
+                                     std::size_t every) {
   std::vector<ReplicaSnapshot> snaps;
   const ReplicaResult capturing = run_replica_resumable(
       spec, 0, nullptr,
-      [&](const ReplicaSnapshot& s) { snaps.push_back(s); },
-      /*snapshot_every=*/1);
+      [&](const ReplicaSnapshot& s) { snaps.push_back(s); }, every);
   EXPECT_EQ(digest(capturing), digest(whole))
       << spec.to_string() << ": capturing run diverged";
+  return snaps;
+}
+
+void expect_resumes_from(const ScenarioSpec& spec, const ReplicaResult& whole,
+                         const ReplicaSnapshot& snap) {
+  const ReplicaResult resumed = run_replica_resumable(spec, 0, &snap, nullptr, 0);
+  EXPECT_EQ(digest(resumed), digest(whole))
+      << spec.to_string() << ": resumed run diverged (snapshot at "
+      << snap.harness_steps << " steps)";
+}
+
+// Run trial 0 of `spec` twice: once straight through, once split across a
+// mid-run snapshot (capture at the first eligible slice, then restore into
+// a fresh replica). Both halves must agree byte-for-byte.
+void expect_resume_exact(const ScenarioSpec& spec, std::size_t every = 1) {
+  const ReplicaResult whole = run_replica(spec, 0);
+  const std::vector<ReplicaSnapshot> snaps = capture(spec, whole, every);
   ASSERT_FALSE(snaps.empty())
       << spec.to_string() << ": no snapshot captured — run too short or "
                              "engine not checkpoint-exact";
-
   // Resume from an early snapshot AND from the last one: the restore path
   // must be exact wherever the cut lands.
-  for (const ReplicaSnapshot* snap : {&snaps.front(), &snaps.back()}) {
-    const ReplicaResult resumed =
-        run_replica_resumable(spec, 0, snap, nullptr, 0);
-    EXPECT_EQ(digest(resumed), digest(whole))
-        << spec.to_string() << ": resumed run diverged (snapshot at "
-        << snap->harness_steps << " steps)";
-  }
+  expect_resumes_from(spec, whole, snaps.front());
+  expect_resumes_from(spec, whole, snaps.back());
 }
 
 ScenarioSpec base_spec() {
@@ -104,8 +116,9 @@ TEST(EngineCheckpoint, SimBatchEngineResumesExactly) {
 }
 
 TEST(EngineCheckpoint, AutoSimEngineLockedResumesExactly) {
-  // engine=auto + adversary locks AutoSimEngine to count space at
-  // construction — checkpoint_exact() holds from step 0.
+  // engine=auto + adversary: the engine carries its omission process
+  // across switches and arbitrates only on checkpointed state, so
+  // checkpoint_exact() holds from step 0.
   ScenarioSpec spec;
   spec.workload = "exact-majority-gap";
   spec.n = 48;
@@ -116,6 +129,83 @@ TEST(EngineCheckpoint, AutoSimEngineLockedResumesExactly) {
   spec.seed = 11;
   spec.check_every = 512;
   expect_resume_exact(spec);
+}
+
+ScenarioSpec auto_skno_spec() {
+  ScenarioSpec spec;
+  spec.workload = "exact-majority-gap";
+  spec.n = 24;
+  spec.engine = "auto";
+  spec.sim = "skno:o=2";
+  spec.trials = 1;
+  spec.seed = 3;
+  spec.check_every = 512;
+  return spec;
+}
+
+// The face an auto simulator engine's payload was saved in: its first
+// byte (1 = agent space).
+bool saved_in_agent_space(const ReplicaSnapshot& snap) {
+  return !snap.engine.empty() && snap.engine[0] == 1;
+}
+
+TEST(EngineCheckpoint, AutoSimEngineSwitchingUnderAdversaryResumesExactly) {
+  // The run starts in count space and switches to agent space mid-run
+  // with its omission process in tow; captures on both sides of the
+  // switch resume byte-exactly.
+  ScenarioSpec spec = auto_skno_spec();
+  spec.adversary = "budget:2";
+  const ReplicaResult whole = run_replica(spec, 0);
+  const std::vector<ReplicaSnapshot> snaps = capture(spec, whole, 1);
+  const auto first_agent =
+      std::find_if(snaps.begin(), snaps.end(), saved_in_agent_space);
+  ASSERT_NE(first_agent, snaps.begin()) << "no capture before the switch";
+  ASSERT_NE(first_agent, snaps.end()) << "no capture after the switch";
+  expect_resumes_from(spec, whole, *std::prev(first_agent));
+  expect_resumes_from(spec, whole, *first_agent);
+  expect_resumes_from(spec, whole, snaps.back());
+}
+
+TEST(EngineCheckpoint, AutoSimEngineWithoutAdversaryResumesExactly) {
+  // Arbitration reads only checkpointed state, so a run that arbitrates
+  // from step 0 captures and resumes exactly.
+  expect_resume_exact(auto_skno_spec());
+}
+
+TEST(EngineCheckpoint, AutoSimArbitrationIgnoresSourceCaches) {
+  // The monitor's cold-fire signal counts fresh interned ids, never cache
+  // hits: with the SKnO source's internal caches off and at their default
+  // capacity, one seed switches at the same step and every save_state is
+  // byte-identical.
+  const std::size_t n = 20000;
+  const Workload w = find_workload("exact-majority-gap", n);
+  SimEngineConfig config;
+  config.spec = parse_sim_spec("skno:o=2");
+  const auto make = [&](bool cached) {
+    std::shared_ptr<DynamicRuleSource> rules =
+        make_sim_rule_source(config.spec, Model::I3, w.protocol, n);
+    if (!cached)
+      dynamic_cast<SknoRuleSource&>(*rules).set_internal_cache_capacity(0);
+    return make_sim_engine("auto", std::move(rules), w.initial, config);
+  };
+  auto cached = make(true);
+  auto uncached = make(false);
+  UniformScheduler sched(n);
+  Rng rng_cached(42);
+  Rng rng_uncached(42);
+  std::size_t switched_at = 0;
+  for (std::size_t done = 0; done < 600000;) {
+    done += cached->advance(1u << 16, sched, rng_cached);
+    (void)uncached->advance(1u << 16, sched, rng_uncached);
+    ASSERT_EQ(cached->active_kind(), uncached->active_kind()) << done;
+    bin::Writer a;
+    bin::Writer b;
+    cached->save_state(a);
+    uncached->save_state(b);
+    ASSERT_EQ(a.data(), b.data()) << "save_state differs after " << done;
+    if (switched_at == 0 && cached->active_kind() == "agent") switched_at = done;
+  }
+  EXPECT_GT(switched_at, 0u) << "the mid-band rule never fired";
 }
 
 TEST(EngineCheckpoint, NativeEngineRefusesCheckpointing) {

@@ -5,10 +5,91 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "protocols/pairing.hpp"
+#include "util/rng.hpp"
 #include "verify/matching.hpp"
 
 namespace ppfs {
+
+// The run search SknoCore used before its one-pass bitmask form, kept as
+// the reference the production search must agree with exactly: candidate
+// payloads in queue order, a full queue rescan per candidate, the first
+// occurrence of each index 1..o+1 consumed and jokers for the rest.
+struct SknoCoreTestPeer {
+  using Token = SknoCore::Token;
+
+  static std::optional<SknoCore::Consumed> reference(
+      SknoCore& core, SknoCore::Agent& a, Token::Kind kind,
+      std::optional<State> q_filter) {
+    const std::size_t o = core.o_;
+    std::vector<std::pair<State, State>> candidates;
+    for (const auto& t : a.sending) {
+      if (t.kind != kind) continue;
+      if (q_filter && t.q != *q_filter) continue;
+      const std::pair<State, State> payload{t.q, t.qr};
+      if (std::find(candidates.begin(), candidates.end(), payload) ==
+          candidates.end())
+        candidates.push_back(payload);
+    }
+    std::size_t jokers_avail = 0;
+    for (const auto& t : a.sending)
+      if (t.kind == Token::Kind::Joker) ++jokers_avail;
+
+    for (const auto& [q, qr] : candidates) {
+      std::vector<std::ptrdiff_t> pos(o + 2, -1);
+      std::size_t have = 0;
+      for (std::size_t i = 0; i < a.sending.size(); ++i) {
+        const Token& t = a.sending[i];
+        if (t.kind != kind || t.q != q || t.qr != qr) continue;
+        if (t.index < 1 || t.index > o + 1) continue;
+        if (pos[t.index] < 0) {
+          pos[t.index] = static_cast<std::ptrdiff_t>(i);
+          ++have;
+        }
+      }
+      if (have == 0) continue;  // at least one real token required
+      const std::size_t missing = (o + 1) - have;
+      if (missing > jokers_avail) continue;
+
+      std::vector<char> remove(a.sending.size(), 0);
+      std::uint64_t primary = 0;
+      bool primary_set = false;
+      for (std::uint32_t i = 1; i <= o + 1; ++i) {
+        if (pos[i] >= 0) {
+          remove[static_cast<std::size_t>(pos[i])] = 1;
+          if (!primary_set) {
+            primary = a.sending[static_cast<std::size_t>(pos[i])].run;
+            primary_set = true;
+          }
+        } else {
+          a.joker_debt.push_back(Token{kind, q, qr, i, 0});
+        }
+      }
+      std::size_t jokers_needed = missing;
+      for (std::size_t i = 0; i < a.sending.size() && jokers_needed > 0; ++i) {
+        if (!remove[i] && a.sending[i].kind == Token::Kind::Joker) {
+          remove[i] = 1;
+          --jokers_needed;
+        }
+      }
+      core.stats_.jokers_used += missing;
+
+      std::vector<Token> rest;
+      for (std::size_t i = 0; i < a.sending.size(); ++i)
+        if (!remove[i]) rest.push_back(a.sending[i]);
+      a.sending.assign(rest.begin(), rest.end());
+      return SknoCore::Consumed{primary, q, qr};
+    }
+    return std::nullopt;
+  }
+
+  static void use_reference(SknoCore& core) { core.consume_ = &reference; }
+};
+
 namespace {
 
 std::shared_ptr<const TableProtocol> pairing() { return make_pairing_protocol(); }
@@ -199,6 +280,146 @@ TEST(SknoUnit, CloneIndependence) {
   EXPECT_EQ(copy->simulated_state(1), st.consumer);
   copy->interact(Interaction{0, 1, false});
   EXPECT_EQ(copy->simulated_state(1), st.critical);
+}
+
+// --- run search against the reference ---------------------------------------
+
+using Token = SknoCore::Token;
+
+// A queue built to complete runs often: up to two payloads from a small
+// alphabet (states 0..2), each holding most of its indices 1..o+1 (some
+// twice), plus stray tokens of any kind with indices 0..o+2 (invalid ones
+// included), jokers, and a short debt list; shuffled.
+SknoCore::Agent random_agent(Rng& rng, std::size_t o) {
+  const auto small = [&] { return static_cast<State>(rng.below(3)); };
+  const auto kind_of = [](std::uint64_t k) {
+    return k == 0 ? Token::Kind::StateRun
+                  : k == 1 ? Token::Kind::ChangeRun : Token::Kind::Joker;
+  };
+  SknoCore::Agent a;
+  a.sim_state = small();
+  a.pending = rng.below(2) == 1;
+  std::vector<Token> toks;
+  const std::uint64_t payloads = rng.below(3);
+  for (std::uint64_t p = 0; p < payloads; ++p) {
+    const Token::Kind kind = kind_of(rng.below(2));
+    const State q = rng.below(2) == 0 ? a.sim_state : small();
+    const State qr = kind == Token::Kind::ChangeRun ? small() : kNoState;
+    const std::uint64_t run = 1 + rng.below(1000);
+    for (std::uint32_t i = 1; i <= o + 1; ++i) {
+      if (rng.below(4) == 0) continue;
+      toks.push_back(Token{kind, q, qr, i, run});
+      if (rng.below(8) == 0) toks.push_back(Token{kind, q, qr, i, run + 1});
+    }
+  }
+  const std::uint64_t strays = rng.below(5);
+  for (std::uint64_t k = 0; k < strays; ++k) {
+    const Token::Kind kind = kind_of(rng.below(3));
+    if (kind == Token::Kind::Joker) {
+      toks.push_back(Token{kind, kNoState, kNoState, 0, 0});
+      continue;
+    }
+    toks.push_back(Token{kind, small(),
+                         kind == Token::Kind::ChangeRun ? small() : kNoState,
+                         static_cast<std::uint32_t>(rng.below(o + 3)),
+                         1 + rng.below(1000)});
+  }
+  const std::uint64_t jokers = rng.below((o + 1) / 3 + 3);
+  for (std::uint64_t k = 0; k < jokers; ++k)
+    toks.push_back(Token{Token::Kind::Joker, kNoState, kNoState, 0, 0});
+  for (std::size_t i = toks.size(); i > 1; --i)
+    std::swap(toks[i - 1], toks[rng.below(i)]);
+  a.sending.assign(toks.begin(), toks.end());
+  const std::uint64_t debts = rng.below(3);
+  for (std::uint64_t k = 0; k < debts; ++k)
+    a.joker_debt.push_back(Token{Token::Kind::StateRun, small(), kNoState,
+                                 static_cast<std::uint32_t>(1 + rng.below(o + 1)),
+                                 0});
+  return a;
+}
+
+bool same_tokens(const std::deque<Token>& x, const std::vector<Token>& y) {
+  return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                    [](const Token& s, const Token& t) {
+                      return s.same_value(t) && s.run == t.run;
+                    });
+}
+
+void expect_same_agent(const SknoCore::Agent& got, const SknoCore::Agent& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.sim_state, want.sim_state) << where;
+  EXPECT_EQ(got.pending, want.pending) << where;
+  EXPECT_TRUE(same_tokens(got.sending, {want.sending.begin(), want.sending.end()}))
+      << where << ": queue";
+  EXPECT_TRUE(same_tokens({got.joker_debt.begin(), got.joker_debt.end()},
+                          want.joker_debt))
+      << where << ": joker debt";
+}
+
+void expect_same_emits(const SknoCore::Emits& got, const SknoCore::Emits& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].before, want[i].before) << where;
+    EXPECT_EQ(got[i].after, want[i].after) << where;
+    EXPECT_EQ(got[i].half, want[i].half) << where;
+    EXPECT_EQ(got[i].key, want[i].key) << where;
+    EXPECT_EQ(got[i].partner, want[i].partner) << where;
+  }
+}
+
+void expect_same_stats(const SknoCore::Stats& got, const SknoCore::Stats& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.runs_generated, want.runs_generated) << where;
+  EXPECT_EQ(got.state_runs_consumed, want.state_runs_consumed) << where;
+  EXPECT_EQ(got.change_runs_consumed, want.change_runs_consumed) << where;
+  EXPECT_EQ(got.cancels, want.cancels) << where;
+  EXPECT_EQ(got.jokers_minted, want.jokers_minted) << where;
+  EXPECT_EQ(got.jokers_used, want.jokers_used) << where;
+  EXPECT_EQ(got.tokens_killed, want.tokens_killed) << where;
+  EXPECT_EQ(got.debt_conversions, want.debt_conversions) << where;
+  EXPECT_EQ(got.max_queue, want.max_queue) << where;
+}
+
+TEST(SknoRunSearch, MatchesReferenceOnRandomQueues) {
+  // Both searches driven through SknoCore::step on identical random
+  // agents, real and omissive (I3: the reactor mints a joker), for bounds
+  // on both sides of the one-word bitmask limit (o + 1 <= 63). Every run
+  // completion, cancellation and joker substitution must agree.
+  const auto protocol = pairing();
+  for (const std::size_t o : {0, 1, 2, 8, 62, 63, 64, 100}) {
+    SknoCore fast(protocol.get(), Model::I3, o, {}, true);
+    SknoCore ref = fast;
+    SknoCoreTestPeer::use_reference(ref);
+    Rng rng(7100 + o);
+    std::size_t consumed = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+      const std::string where =
+          "o=" + std::to_string(o) + " trial " + std::to_string(trial);
+      SknoCore::Agent s = random_agent(rng, o);
+      SknoCore::Agent r = random_agent(rng, o);
+      SknoCore::Agent s_ref = s;
+      SknoCore::Agent r_ref = r;
+      const bool omissive = rng.below(4) == 0;
+      SknoCore::Emits se, re, se_ref, re_ref;
+      fast.step(s, r, omissive, OmitSide::Both, &se, &re);
+      ref.step(s_ref, r_ref, omissive, OmitSide::Both, &se_ref, &re_ref);
+      expect_same_agent(s, s_ref, where + " starter");
+      expect_same_agent(r, r_ref, where + " reactor");
+      expect_same_emits(se, se_ref, where + " starter emits");
+      expect_same_emits(re, re_ref, where + " reactor emits");
+      expect_same_stats(fast.stats(), ref.stats(), where);
+      if (::testing::Test::HasFailure()) return;
+      consumed = ref.stats().state_runs_consumed +
+                 ref.stats().change_runs_consumed + ref.stats().cancels;
+    }
+    // The generator must actually exercise consumption at every bound, and
+    // joker substitution wherever a run has room for one (o >= 1).
+    EXPECT_GT(consumed, 100u) << "o=" << o;
+    if (o >= 1) {
+      EXPECT_GT(ref.stats().jokers_used, 0u) << "o=" << o;
+    }
+  }
 }
 
 TEST(SknoUnit, DescribeMentionsModelAndBound) {
