@@ -1,6 +1,7 @@
-// ppfs_cli — run any (workload x simulator x model x adversary) combination
-// from the command line and print the outcome, verification verdict and
-// summary statistics. With no arguments it runs a representative demo.
+// ppfs_cli — run any (workload x simulator x model x adversary x engine)
+// point of the paper's lattice from the command line, or a whole grid of
+// them, and print the outcome through the shared exp::Report writer. With
+// no arguments it runs a representative demo (a verified SKnO run).
 //
 //   usage: ppfs_cli [workload] [simulator] [model] [n] [rate] [budget] [seed]
 //          ppfs_cli --engine=native|batch|auto [--model=M] [--adversary=SPEC]
@@ -18,7 +19,7 @@
 //                 beacon-or)
 //     simulator  naive | skno | sid | naming
 //     model      TW T1 T2 T3 IT IO I1 I2 I3 I4
-//     n          population size (>= 4)
+//     n          population size (>= 4; 1e6 notation allowed)
 //     rate       omission-insertion probability (0 disables the adversary)
 //     budget     max omissions (SKnO's known bound); "uo" = unlimited
 //     seed       RNG seed
@@ -27,33 +28,34 @@
 //                side suffix @starter|@reactor|@both for two-way models)
 //     SIM        naive | skno:o=K | sid | naming
 //
-//   --engine selects a direct run (no simulation layer) through the
-//   EngineDispatch facade: "native" drives the per-agent loop, "batch" the
-//   count-based engine, which handles million-agent populations in
-//   milliseconds — including one-way and omissive models and omission
-//   adversaries. Attaching an adversary to a non-omissive model lifts it
-//   to its omissive closure (TW -> T1, IT/IO -> I1): undetectable
-//   omissions, the Fig. 1 embedding. On one-way models, "exact-majority"
-//   resolves to the w.h.p.-exact cancellation majority (exact majority is
-//   not one-way-computable).
+//   The two single-run forms are one-point sweeps: each translates its
+//   arguments into a grid string, runs exactly the code `--sweep=<grid>`
+//   runs, and prints the same one-row table. Its exit status is 0 when the
+//   replica converged and, where the run was verified, matching_ok = 1;
+//   otherwise 1 (a replica that throws, e.g. an adversary on a
+//   non-omissive simulator model, prints FAILED on stderr); 2 for
+//   arguments the grid parser rejects.
 //
-//   --simulate wraps the workload in one of the paper's simulators and
-//   runs THAT through the chosen engine: "batch" executes the simulator in
-//   count space over interned wrapper states (engine/batch/
-//   sim_batch_system.hpp), which is how SKnO reaches n = 10^6; "native"
-//   drives the step-wise per-agent facade; "auto" starts on whichever
-//   representation the run's dispersion favors and may switch between
-//   count space and a direct agent-space driver mid-run (engine/batch/
-//   regime.hpp) — the right default when the regime is not known up
-//   front. Convergence is detected on the simulated projection. The default workload for --simulate runs is
-//   exact-majority-gap (margin Theta(n)) at n = 50: simulated no-ops
-//   cannot be leapt — the token machinery runs regardless — so the
-//   margin-2 instance would need Theta(n^2) simulated interactions at any
-//   speed, and simulator convergence cost is super-linear in n on ANY
-//   engine (see README). Convergence demos belong at the paper's n ~ 10^2
-//   with o <= 2; large-n / large-o runs demonstrate bounded-memory
-//   distribution-exact execution over a fixed budget instead (they answer
-//   "NO" once the budget runs out).
+//     positional  W@n=N:model=M:sim=SIM:adv=A:engine=native:verify=1:
+//                 seed=S:trials=1 — a step-wise simulator run checked by
+//                 the Definition-3 matching verifier. SIM is skno:o=B for
+//                 skno (o = 0 when budget is "uo"); A is none when
+//                 rate = 0, uo:RATE when budget is "uo", budget:B:RATE
+//                 otherwise.
+//     --engine    W@n=N[:model=M]:adv=SPEC:engine=K[:sim=SIM]:seed=S:
+//                 trials=1 — a direct run (defaults exact-majority,
+//                 n = 10^6) or, with --simulate, a simulator run (defaults
+//                 exact-majority-gap, n = 50). "batch" is the count-based
+//                 engine, which handles million-agent populations in
+//                 milliseconds in every model and under every adversary;
+//                 "auto" picks and switches representations mid-run
+//                 (engine/batch/regime.hpp). Attaching an adversary to a
+//                 non-omissive model lifts it to its omissive closure
+//                 (TW -> T1, IT/IO -> I1). On one-way models,
+//                 "exact-majority" resolves to the w.h.p.-exact
+//                 cancellation majority. Simulator convergence cost is
+//                 super-linear in n on ANY engine (see README), so
+//                 convergence demos belong at n ~ 10^2 with o <= 2.
 //
 //   --sweep runs a declarative scenario grid (src/exp/) instead of a single
 //   trajectory: the GRID string crosses axes (comma-separated values for
@@ -102,34 +104,22 @@
 //     ppfs_cli --sweep='or,exact-majority@n=1000,10000:engine=batch:trials=32'
 //     ppfs_cli exact-majority skno I3 10 0.05 2 42
 //     ppfs_cli leader sid T3 12 0.3 uo 7
-//     ppfs_cli --engine=batch exact-majority 1000000 42
 //     ppfs_cli --engine=batch --model=IO --adversary=budget:1000
-//         exact-majority 1000000 42   (one command line)
+//         exact-majority 1e6 42   (one command line)
 //     ppfs_cli --engine=batch --simulate=skno:o=2            (n = 50 SKnO)
-//     ppfs_cli --engine=batch --simulate=naive exact-majority 1000000
-//     ppfs_cli --engine=batch --simulate=sid --adversary=uo:0.2 or 256
+//     ppfs_cli --engine=auto --simulate=sid or 64 7
 #include <optional>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "engine/batch/dispatch.hpp"
-#include "engine/runner.hpp"
-#include "engine/workload_runner.hpp"
 #include "exp/replica_runner.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep_service.hpp"
 #include "util/binio.hpp"
 #include "util/trajectory.hpp"
-#include "protocols/registry.hpp"
-#include "sched/adversary.hpp"
-#include "sim/naming.hpp"
-#include "sim/sid.hpp"
-#include "sim/skno.hpp"
-#include "sim/tw_naive.hpp"
-#include "verify/matching.hpp"
 
 using namespace ppfs;
 
@@ -152,8 +142,10 @@ int usage(const char* msg) {
                "[--out-file=PATH] [--metrics-out=FILE] [--traj-out=FILE]\n"
                "       SPEC = none|uo|no:Q|no1|budget:B[:rate], kind may "
                "carry @starter|@reactor|@both\n"
-               "       SIM  = naive|skno:o=K|sid|naming (count-space "
-               "simulator run; default workload exact-majority-gap, n=50)\n"
+               "       SIM  = naive|skno:o=K|sid|naming (simulator run; "
+               "default workload exact-majority-gap, n=50)\n"
+               "       single runs are one-point sweeps: same table, exit 0 "
+               "converged (and verified), 1 otherwise\n"
                "       GRID = workload[,workload...]@key=value[:key=value...]"
                "\n"
                "              axis keys (comma = list): n, model, engine, "
@@ -239,7 +231,19 @@ struct SweepCliOptions {
   std::string resume_file;
   std::string traj_out;
   std::optional<std::size_t> traj_every;
+  // A single-run form's one-point grid: exit with its replica's verdict
+  // (single_run_status) instead of the sweep's failed-replica status.
+  bool single_run = false;
 };
+
+// A single run's verdict: its one replica converged and, where the run was
+// verified, the matching verifier passed.
+int single_run_status(const exp::Report& report) {
+  const exp::ReplicaResult& r = report.rows().front().replicas.front();
+  if (r.failed() || !r.run.converged) return 1;
+  const auto ok = r.extras.find("matching_ok");
+  return ok == r.extras.end() || ok->second == 1.0 ? 0 : 1;
+}
 
 // Declarative grid sweep through the sweep service: expand the grid, run
 // this process's shard of the flattened job list (all of it by default),
@@ -256,6 +260,10 @@ int run_sweep(const SweepCliOptions& cli) {
   if (cli.trials) grid.trials = *cli.trials;
   if (cli.seed) grid.seed = *cli.seed;
   if (grid.trials == 0) return usage("--trials must be >= 1");
+  if (cli.single_run && grid.points() != 1)
+    return usage(("a single run names one point; '" + cli.grid_text +
+                  "' names " + std::to_string(grid.points()))
+                     .c_str());
   // --metrics-out / --traj-out imply their capture; default both to the
   // recorder's standard 2^20-interaction cadence unless overridden.
   std::optional<std::size_t> metrics_every = cli.metrics_every;
@@ -367,6 +375,7 @@ int run_sweep(const SweepCliOptions& cli) {
   } else {
     report.write(std::cout, cli.out_format);
   }
+  if (cli.single_run) return single_run_status(report);
   return report.any_failed() ? 1 : 0;
 }
 
@@ -408,210 +417,85 @@ int run_merge(const std::vector<std::string>& files,
   return report.any_failed() ? 1 : 0;
 }
 
-Model parse_model(const std::string& s) {
-  for (Model m : kAllModels)
-    if (model_name(m) == s) return m;
-  throw std::invalid_argument("unknown model '" + s + "'");
+// A number typed on a single-run command line, checked before it lands in
+// a grid string: "0" and "0.0" must both disable the adversary.
+double parse_rate(const std::string& s) {
+  try {
+    std::size_t end = 0;
+    const double v = std::stod(s, &end);
+    if (end == s.size()) return v;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("bad rate '" + s + "'");
 }
 
-// Population sizes up to 10^9 are routine for the count-space engines, so
-// accept the sweep grammar's scientific shorthand ("1e9") alongside plain
-// digits, in full 64-bit range (stoul would be fine on LP64, but say what
-// we mean).
-std::size_t parse_population(const std::string& s) {
-  const std::size_t e = s.find_first_of("eE");
-  if (e == std::string::npos) return std::stoull(s);
-  const std::uint64_t base = std::stoull(s.substr(0, e));
-  const std::uint64_t exp = std::stoull(s.substr(e + 1));
-  std::uint64_t out = base;
-  for (std::uint64_t i = 0; i < exp; ++i) out *= 10;
-  return out;
+// A bare token spliced into a grid string must not carry grid syntax, or
+// the grid would name a different point than the one typed.
+std::string bare(std::string token) {
+  if (token.find_first_of(":@,=") != std::string::npos)
+    throw std::invalid_argument("'" + token + "' contains grid syntax (: @ , =)");
+  return token;
 }
 
-std::unique_ptr<Simulator> make_simulator(const std::string& kind,
-                                          const Workload& w, Model model,
-                                          std::size_t budget) {
-  if (kind == "naive") return std::make_unique<TwSimulator>(w.protocol, model, w.initial);
-  if (kind == "skno")
-    return std::make_unique<SknoSimulator>(w.protocol, model,
-                                           budget == SIZE_MAX ? 0 : budget,
-                                           w.initial);
-  if (kind == "sid") return std::make_unique<SidSimulator>(w.protocol, model, w.initial);
-  if (kind == "naming")
-    return std::make_unique<NamingSimulator>(w.protocol, model, w.initial);
-  throw std::invalid_argument("unknown simulator '" + kind + "'");
+// The positional form [W] [SIM] [M] [n] [rate] [budget] [seed] as its
+// one-point grid: a verified step-wise simulator run.
+std::string positional_grid(const std::vector<std::string>& args) {
+  if (args.size() > 7) throw std::invalid_argument("too many arguments");
+  for (const std::string& a : args)
+    if (a.rfind("--", 0) == 0)
+      throw std::invalid_argument("unknown flag '" + a + "'");
+  const auto arg = [&](std::size_t i, const char* fallback) {
+    return bare(i < args.size() ? args[i] : std::string(fallback));
+  };
+  const std::string rate = arg(4, "0.05");
+  const std::string budget = arg(5, "2");
+  const bool unlimited = budget == "uo";
+  std::string sim = arg(1, "skno");
+  if (sim == "skno") sim += ":o=" + (unlimited ? std::string("0") : budget);
+  std::string adv = "none";
+  if (parse_rate(rate) != 0.0)
+    adv = unlimited ? "uo:" + rate : "budget:" + budget + ":" + rate;
+  return arg(0, "exact-majority") + "@n=" + arg(3, "10") +
+         ":model=" + arg(2, "I3") + ":sim=" + sim + ":adv=" + adv +
+         ":engine=native:verify=1:seed=" + arg(6, "42") + ":trials=1";
 }
 
-// Direct run through the engine facade; the batch engine makes n = 10^6
-// populations practical from the command line, in every model and under
-// every omission adversary.
-int run_with_engine(const std::string& kind, Model model,
-                    const std::string& adversary_spec,
-                    const std::string& workload, std::size_t n,
-                    std::uint64_t seed) {
-  EngineConfig config;
-  config.model = model;
-  const AdversaryParams adv = parse_adversary_spec(adversary_spec);
-  if (adv.rate > 0.0) config.adversary = adv;
-
-  std::unique_ptr<Engine> engine;
-  std::string workload_name;
-  CountsProbe probe;
-  if (is_one_way(model)) {
-    const OneWayWorkload w = find_one_way_workload(workload, n, model);
-    workload_name = w.name;
-    engine = make_workload_engine(kind, w, config);
-    auto conv = w.converged;
-    const int expect = w.expected_output;
-    probe = [conv, expect](const std::vector<std::size_t>& counts,
-                           const Protocol& p) {
-      if (conv) return conv(counts);
-      return counts_consensus_output(counts, p) == expect;
-    };
-  } else {
-    const Workload w = find_workload(workload, n);
-    workload_name = w.name;
-    engine = make_workload_engine(kind, w, config);
-    probe = workload_counts_probe(w);
+// The --engine=K form as its one-point grid: a direct run, or with
+// --simulate a simulator run, on engine K.
+std::string engine_grid(const std::vector<std::string>& args) {
+  const std::string kind = bare(args[0].substr(9));
+  std::string model;
+  std::string adversary = "none";
+  std::string simulate;
+  std::size_t pos = 1;
+  for (; pos < args.size() && args[pos].rfind("--", 0) == 0; ++pos) {
+    if (args[pos].rfind("--model=", 0) == 0)
+      model = bare(args[pos].substr(8));
+    else if (args[pos].rfind("--adversary=", 0) == 0)
+      adversary = args[pos].substr(12);
+    else if (args[pos].rfind("--simulate=", 0) == 0)
+      simulate = args[pos].substr(11);
+    else
+      throw std::invalid_argument("unknown flag '" + args[pos] + "'");
   }
-
-  UniformScheduler sched(n);
-  Rng rng(seed);
-  RunOptions opt;
-  // The batch engine leaps over no-op runs, so give it an interaction
-  // budget (and probe cadence) sized for n^2-scale convergence times. A UO
-  // adversary never quiesces, so its omissive events cost O(1) each
-  // forever — cap those runs so a never-converging workload answers "NO"
-  // in bounded time instead of grinding toward 10^15.
-  const bool persistent_adversary =
-      config.adversary && config.adversary->kind == AdversaryKind::UO;
-  opt.max_steps = kind != "native"
-                      ? (persistent_adversary ? 1'000'000'000'000ULL
-                                              : 1'000'000'000'000'000ULL)
-                      : 100'000'000;
-  opt.check_every = kind != "native" ? (1u << 22) : 4096;
-  const RunResult res = run_engine_until(*engine, sched, rng, probe, opt);
-  const RunStats& stats = engine->stats();
-  std::cout << kind << " engine";
-  if (kind == "auto") std::cout << " [active: " << engine->active_kind() << "]";
-  std::cout << " on " << workload_name << " under "
-            << model_name(engine->model());
-  if (config.adversary) {
-    std::cout << " + " << adversary_kind_name(config.adversary->kind)
-              << " adversary (rate " << config.adversary->rate << ")";
-    if (engine->model() != model)
-      std::cout << " [lifted from " << model_name(model) << "]";
-  }
-  std::cout << "\n"
-            << "  converged:           " << (res.converged ? "yes" : "NO") << "\n"
-            << "  interactions:        " << res.steps << "\n"
-            << "  rule fires:          " << stats.total_fires() << "\n"
-            << "  no-op interactions:  " << stats.noops() << "\n"
-            << "  omissions delivered: " << stats.omissions() << " ("
-            << stats.omissive_fires() << " state-changing)\n"
-            << "  convergence step:    ";
-  if (stats.convergence_step() == RunStats::kNoConvergence) std::cout << "never";
-  else std::cout << stats.convergence_step();
-  std::cout << "\n";
-  std::cout << "  final counts:       ";
-  const auto counts = engine->counts();
-  const Protocol& proto = engine->protocol();
-  for (State q = 0; q < counts.size(); ++q) {
-    if (counts[q] > 0)
-      std::cout << ' ' << proto.state_name(q) << '=' << counts[q];
-  }
-  std::cout << "\n  top rules:          ";
-  for (const auto& rule : stats.top_rules(3)) {
-    std::cout << " (" << proto.state_name(rule.s) << ','
-              << proto.state_name(rule.r) << ")x" << rule.count;
-  }
-  std::cout << "\n";
-  return res.converged ? 0 : 1;
-}
-
-// A simulator wrapped around the workload, run through either engine. The
-// probe runs on the simulated projection; "batch" executes the simulator
-// in count space over interned wrapper states (n = 10^6 territory).
-int run_with_sim_engine(const std::string& kind, const std::string& sim_spec,
-                        std::optional<Model> model,
-                        const std::string& adversary_spec,
-                        const std::string& workload, std::size_t n,
-                        std::uint64_t seed) {
-  SimEngineConfig config;
-  config.spec = parse_sim_spec(sim_spec);
-  config.model = model;
-  const AdversaryParams adv = parse_adversary_spec(adversary_spec);
-  if (adv.rate > 0.0) config.adversary = adv;
-
-  const Workload w = find_workload(workload, n);
-  auto engine = make_sim_engine(
-      kind, w.protocol, per_agent_initial(w, "--simulate=" + sim_spec), config);
-  CountsProbe probe = workload_counts_probe(w);
-
-  UniformScheduler sched(n);
-  Rng rng(seed);
-  RunOptions opt;
-  // The naive wrapper adds no state, so its count-space runs leap bare-
-  // protocol no-op oceans — budget it like a plain batch run. The real
-  // simulators churn wrapper state on (nearly) every delivery and pay per
-  // fire on any engine, so their budget is sized in fires.
-  opt.max_steps =
-      config.spec.kind == "naive" ? 20'000'000'000'000ULL : 1'000'000'000ULL;
-  opt.check_every = 1u << 20;
-  const RunResult res = run_engine_until(*engine, sched, rng, probe, opt);
-  const RunStats& stats = engine->stats();
-  std::cout << kind << " engine";
-  if (kind == "auto") std::cout << " [active: " << engine->active_kind() << "]";
-  std::cout << " simulating " << w.name << " via " << config.spec.kind;
-  if (config.spec.kind == "skno")
-    std::cout << "(o=" << config.spec.omission_bound << ")";
-  std::cout << " under " << model_name(engine->model());
-  if (config.adversary) {
-    std::cout << " + " << adversary_kind_name(config.adversary->kind)
-              << " adversary (rate " << config.adversary->rate << ")";
-  }
-  std::cout << "\n"
-            << "  converged (pi_P):    " << (res.converged ? "yes" : "NO") << "\n"
-            << "  physical interactions: " << res.steps << "\n";
-  // The two kinds observe fires at different levels: the count-space
-  // engine counts wrapper count-changes, the step-wise facade counts
-  // interactions that emitted a simulated update. Label them accordingly
-  // (and only the count-space engine has an interned universe to report).
-  if (kind != "native") {
-    std::cout << "  wrapper rule fires:  " << stats.total_fires() << "\n"
-              << "  no-op interactions:  " << stats.noops() << "\n"
-              << "  omissions delivered: " << stats.omissions() << "\n"
-              << "  live wrapper states: " << engine->universe_live() << "\n";
-  } else {
-    std::cout << "  simulating fires:    " << stats.total_fires() << "\n"
-              << "  sim-silent interactions: " << stats.noops() << "\n"
-              << "  omissions delivered: " << stats.omissions() << "\n";
-  }
-  std::cout << "  convergence step:    ";
-  if (stats.convergence_step() == RunStats::kNoConvergence) std::cout << "never";
-  else std::cout << stats.convergence_step();
-  std::cout << "\n  projected counts:   ";
-  const auto counts = engine->counts();
-  const Protocol& proto = engine->protocol();
-  for (State q = 0; q < counts.size(); ++q) {
-    if (counts[q] > 0)
-      std::cout << ' ' << proto.state_name(q) << '=' << counts[q];
-  }
-  std::cout << "\n";
-  return res.converged ? 0 : 1;
+  if (args.size() - pos > 3) throw std::invalid_argument("too many arguments");
+  const auto arg = [&](std::size_t i, const char* fallback) {
+    return bare(pos + i < args.size() ? args[pos + i] : std::string(fallback));
+  };
+  // Simulated runs default to the margin-Theta(n) exact-majority instance
+  // at the paper's population scale (see the header comment).
+  const bool sim = !simulate.empty();
+  std::string grid = arg(0, sim ? "exact-majority-gap" : "exact-majority") +
+                     "@n=" + arg(1, sim ? "50" : "1000000");
+  if (!model.empty()) grid += ":model=" + model;
+  grid += ":adv=" + adversary + ":engine=" + kind;
+  if (sim) grid += ":sim=" + simulate;
+  return grid + ":seed=" + arg(2, "42") + ":trials=1";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string workload = "exact-majority";
-  std::string simulator = "skno";
-  std::string model_s = "I3";
-  std::size_t n = 10;
-  double rate = 0.05;
-  std::size_t budget = 2;
-  std::uint64_t seed = 42;
-
   try {
     // --sweep=GRID switches to the declarative grid form (src/exp/).
     std::vector<std::string> args(argv + 1, argv + argc);
@@ -694,90 +578,14 @@ int main(int argc, char** argv) {
       return run_merge(files, out_format, out_file, metrics_out, traj_out);
     }
 
-    // --engine=native|batch|auto switches to the engine-facade run form.
-    if (!args.empty() && args[0].rfind("--engine=", 0) == 0) {
-      const std::string kind = args[0].substr(9);
-      std::optional<Model> model_opt;
-      std::string adversary = "none";
-      std::string simulate;
-      std::size_t pos = 1;
-      while (pos < args.size() && args[pos].rfind("--", 0) == 0) {
-        if (args[pos].rfind("--model=", 0) == 0)
-          model_opt = parse_model(args[pos].substr(8));
-        else if (args[pos].rfind("--adversary=", 0) == 0)
-          adversary = args[pos].substr(12);
-        else if (args[pos].rfind("--simulate=", 0) == 0)
-          simulate = args[pos].substr(11);
-        else
-          return usage(("unknown flag '" + args[pos] + "'").c_str());
-        ++pos;
-      }
-      // Simulated runs default to the margin-Theta(n) exact-majority
-      // instance at the paper's population scale (see the header comment:
-      // simulator convergence cost is super-linear in n on any engine).
-      if (!simulate.empty()) workload = "exact-majority-gap";
-      if (pos < args.size()) workload = args[pos++];
-      n = pos < args.size() ? parse_population(args[pos++])
-                            : (simulate.empty() ? 1'000'000 : 50);
-      if (pos < args.size()) seed = std::stoull(args[pos++]);
-      if (!simulate.empty())
-        return run_with_sim_engine(kind, simulate, model_opt, adversary,
-                                   workload, n, seed);
-      return run_with_engine(kind, model_opt.value_or(Model::TW), adversary,
-                             workload, n, seed);
-    }
-
-    if (argc > 1) workload = argv[1];
-    if (argc > 2) simulator = argv[2];
-    if (argc > 3) model_s = argv[3];
-    if (argc > 4) n = std::stoul(argv[4]);
-    if (argc > 5) rate = std::stod(argv[5]);
-    if (argc > 6) budget = std::string(argv[6]) == "uo" ? SIZE_MAX
-                                                        : std::stoul(argv[6]);
-    if (argc > 7) seed = std::stoull(argv[7]);
-
-    const Model model = parse_model(model_s);
-    const Workload w = find_workload(workload, n);
-    auto sim = make_simulator(simulator, w, model, budget);
-
-    std::unique_ptr<Scheduler> sched;
-    if (rate > 0 && is_omissive(model)) {
-      AdversaryParams p;
-      p.kind = budget == SIZE_MAX ? AdversaryKind::UO : AdversaryKind::Budget;
-      p.rate = rate;
-      if (budget != SIZE_MAX) p.max_omissions = budget;
-      sched = std::make_unique<OmissionAdversary>(
-          std::make_unique<UniformScheduler>(n), n, p);
-    } else {
-      sched = std::make_unique<UniformScheduler>(n);
-    }
-
-    Rng rng(seed);
-    auto counts_probe = workload_counts_probe(w);
-    auto probe = [&](const Simulator& s) {
-      std::vector<std::size_t> counts(w.protocol->num_states(), 0);
-      for (State q : s.projection()) ++counts[q];
-      return counts_probe(counts, *w.protocol);
-    };
-    RunOptions opt;
-    opt.max_steps = 20'000'000;
-    const RunResult res = run_until(*sim, *sched, rng, probe, opt);
-
-    std::cout << sim->describe() << " on " << w.name << "\n"
-              << "  converged:            " << (res.converged ? "yes" : "NO")
-              << "\n"
-              << "  interactions:         " << res.steps << "\n"
-              << "  omissions delivered:  " << res.omissions << "\n"
-              << "  simulated half-steps: " << sim->simulated_updates() << "\n";
-    std::cout << "  final projection:    ";
-    for (State q : sim->projection())
-      std::cout << ' ' << w.protocol->state_name(q);
-    std::cout << "\n";
-    const MatchingReport rep = verify_simulation(*sim, 4 * n);
-    std::cout << "  verification:         "
-              << (rep.ok ? "ok" : "FAILED") << " (" << rep.pairs
-              << " matched pairs, " << rep.unmatched << " open)\n";
-    return res.converged && rep.ok ? 0 : 1;
+    // The single-run forms: one point of the lattice, run as a one-point
+    // sweep through the same code as --sweep.
+    SweepCliOptions cli;
+    cli.single_run = true;
+    cli.grid_text = !args.empty() && args[0].rfind("--engine=", 0) == 0
+                        ? engine_grid(args)
+                        : positional_grid(args);
+    return run_sweep(cli);
   } catch (const std::exception& e) {
     return usage(e.what());
   }

@@ -5,7 +5,7 @@
 //   $ ./examples/quickstart
 #include <iostream>
 
-#include "engine/native.hpp"
+#include "engine/batch/dispatch.hpp"
 #include "engine/runner.hpp"
 #include "protocols/majority.hpp"
 #include "sim/skno.hpp"
@@ -21,17 +21,19 @@ int main() {
   const std::size_t n = initial.size();
 
   // 2. Native two-way execution under the uniform random scheduler
-  //    (globally fair with probability 1).
+  //    (globally fair with probability 1), through the engine facade.
   {
-    NativeSystem sys(protocol, initial);
+    auto engine = make_engine("native", protocol, initial);
     UniformScheduler sched(n);
     Rng rng(/*seed=*/2024);
-    const RunResult res = run_until(sys, sched, rng, [](const NativeSystem& s) {
-      return s.population().consensus_output() == 1;
-    });
+    const RunResult res = run_engine_until(
+        *engine, sched, rng,
+        [](const std::vector<std::size_t>& counts, const Protocol& p) {
+          return counts_consensus_output(counts, p) == 1;
+        });
     std::cout << "native two-way: converged=" << res.converged << " after "
               << res.steps << " interactions; consensus output = "
-              << sys.population().consensus_output() << "\n";
+              << engine->consensus_output() << "\n";
   }
 
   // 3. The same protocol simulated in the one-way Immediate Transmission

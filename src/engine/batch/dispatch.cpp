@@ -8,6 +8,7 @@
 #include "engine/batch/agent_space.hpp"
 #include "engine/batch/regime.hpp"
 #include "engine/batch/round_system.hpp"
+#include "sched/adversary.hpp"
 #include "util/audit.hpp"
 
 namespace ppfs {
@@ -66,16 +67,10 @@ class NativeEngine final : public Engine {
 
   std::size_t advance(std::size_t budget, Scheduler& sched, Rng& rng) override {
     const RuleMatrix& rules = sys_.rules();
+    OmissionProcess* omit = omit_ ? &*omit_ : nullptr;
     for (std::size_t i = 0; i < budget; ++i) {
-      Interaction ia;
-      if (omit_ && omit_->should_omit(rng, sys_.steps())) {
-        // Uniform victim pair, struck on the adversary's configured side.
-        ia = uniform_ordered_pair(rng, sys_.size());
-        ia.omissive = true;
-        ia.side = omit_->params().side;
-      } else {
-        ia = sched.next(rng, sys_.steps());
-      }
+      const Interaction ia =
+          next_delivery(omit, sched, rng, sys_.steps(), sys_.size());
       const State s = sys_.state(ia.starter);
       const State r = sys_.state(ia.reactor);
       const InteractionClass cls = rules.classify(ia);
@@ -343,15 +338,10 @@ class SimNativeEngine final : public Engine {
 
   std::size_t advance(std::size_t budget, Scheduler& sched, Rng& rng) override {
     const std::size_t n = sim_->num_agents();
+    OmissionProcess* omit = omit_ ? &*omit_ : nullptr;
     for (std::size_t i = 0; i < budget; ++i) {
-      Interaction ia;
-      if (omit_ && omit_->should_omit(rng, sim_->interactions())) {
-        ia = uniform_ordered_pair(rng, n);
-        ia.omissive = true;
-        ia.side = omit_->params().side;
-      } else {
-        ia = sched.next(rng, sim_->interactions());
-      }
+      const Interaction ia =
+          next_delivery(omit, sched, rng, sim_->interactions(), n);
       // Fire/no-op at the simulated level: did the interaction emit any
       // simulated update? Recorded against the agents' projected
       // pre-states.

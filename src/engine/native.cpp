@@ -33,54 +33,4 @@ void InteractionSystem::interact(const Interaction& ia) {
   PPFS_TIMER_END(t0, m_time_interact_);
 }
 
-void InteractionSystem::set_rules(RuleMatrix rules) {
-  if (rules.num_states() != rules_.num_states())
-    throw std::invalid_argument("InteractionSystem: state-space size mismatch");
-  rules_ = std::move(rules);
-}
-
-NativeSystem::NativeSystem(std::shared_ptr<const Protocol> protocol,
-                           std::vector<State> initial)
-    : sys_(RuleMatrix::compile(std::move(protocol), Model::TW),
-           std::move(initial)) {}
-
-void NativeSystem::interact(const Interaction& ia) {
-  if (ia.omissive)
-    throw std::invalid_argument("NativeSystem: TW has no omissive interactions");
-  sys_.interact(ia);
-}
-
-OneWaySystem::OneWaySystem(std::shared_ptr<const OneWayProtocol> protocol,
-                           Model model, std::vector<State> initial)
-    : protocol_(std::move(protocol)),
-      model_(model),
-      // Both arguments read `initial` and are indeterminately sequenced, so
-      // the second must copy, not move.
-      sys_(RuleMatrix::compile(protocol_, model_, initial), initial) {
-  // Null protocols and out-of-range initial states are rejected by
-  // RuleMatrix::compile and the Population inside sys_ respectively.
-}
-
-void OneWaySystem::set_starter_omission_fn(std::function<State(State)> o) {
-  if (!model_caps(model_).starter_detects_omission)
-    throw std::invalid_argument("set_starter_omission_fn: model " +
-                                model_name(model_) + " has no o function");
-  fns_.o = std::move(o);
-  recompile();
-}
-
-void OneWaySystem::set_reactor_omission_fn(std::function<State(State)> h) {
-  if (!model_caps(model_).reactor_detects_omission)
-    throw std::invalid_argument("set_reactor_omission_fn: model " +
-                                model_name(model_) + " has no h function");
-  fns_.h = std::move(h);
-  recompile();
-}
-
-void OneWaySystem::recompile() {
-  sys_.set_rules(RuleMatrix::compile(protocol_, model_, sys_.states(), fns_));
-}
-
-int OneWaySystem::consensus_output() const { return sys_.consensus_output(); }
-
 }  // namespace ppfs

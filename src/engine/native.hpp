@@ -1,17 +1,17 @@
-// Native execution engines: run protocols directly under their own model,
-// with no simulation layer. These are the performance baseline for every
-// overhead experiment and the reference semantics for correctness checks.
+// The per-agent execution system: runs protocols directly under their own
+// model, with no simulation layer. It is the performance baseline for
+// every overhead experiment and the reference semantics for correctness
+// checks; the dispatch native engine (engine/batch/dispatch.hpp) drives
+// it behind the Engine interface.
 //
-// All per-agent execution goes through InteractionSystem, which applies a
-// compiled RuleMatrix (core/rule_matrix.hpp) — the same model-semantics
-// definition the count-based batch engine consumes — so the ten models of
-// §2.2–2.3 are encoded exactly once. NativeSystem (plain TW) and
-// OneWaySystem (IT/IO/I1..I4) are thin facades over it that keep the
-// historical construction ergonomics.
+// InteractionSystem applies a compiled RuleMatrix (core/rule_matrix.hpp) —
+// the same model-semantics definition the count-based batch engine
+// consumes — so the ten models of §2.2–2.3 are encoded exactly once. Build
+// one per model with RuleMatrix::compile: two-way protocols under any
+// model, native one-way protocols under IT/IO/I1..I4, with designer o/h
+// functions validated against ModelCaps at compile time.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/models.hpp"
@@ -42,10 +42,6 @@ class InteractionSystem {
   [[nodiscard]] std::size_t omissions() const noexcept { return omissions_; }
   [[nodiscard]] int consensus_output() const { return pop_.consensus_output(); }
 
-  // Swap in a recompiled matrix over the same state space (used when
-  // omission-reaction functions are installed after construction).
-  void set_rules(RuleMatrix rules);
-
   // Wire per-delivery counters + the sampled interact timer (obs layer);
   // null detaches. Purely observational.
   void set_metrics(obs::MetricRegistry* reg) {
@@ -62,61 +58,6 @@ class InteractionSystem {
   obs::Counter* m_fires_ = nullptr;  // deliveries that changed some state
   obs::Counter* m_noops_ = nullptr;
   obs::SampledTimer* m_time_interact_ = nullptr;
-};
-
-// Two-way native engine. Rejects omissive interactions: the plain TW model
-// has no omissions (attach an omission adversary via EngineDispatch, or use
-// OneWaySystem below for the one-way omissive semantics).
-class NativeSystem {
- public:
-  NativeSystem(std::shared_ptr<const Protocol> protocol, std::vector<State> initial);
-
-  void interact(const Interaction& ia);
-
-  [[nodiscard]] const Population& population() const noexcept {
-    return sys_.population();
-  }
-  [[nodiscard]] Population& population() noexcept { return sys_.population(); }
-  [[nodiscard]] std::size_t size() const noexcept { return sys_.size(); }
-  [[nodiscard]] std::size_t steps() const noexcept { return sys_.steps(); }
-
- private:
-  InteractionSystem sys_;
-};
-
-// One-way native engine: runs a OneWayProtocol under IT/IO, or under the
-// omissive one-way models I1..I4 with designer-chosen o/h (defaulting to
-// identity). Encodes exactly the transition relations of §2.2–2.3.
-class OneWaySystem {
- public:
-  OneWaySystem(std::shared_ptr<const OneWayProtocol> protocol, Model model,
-               std::vector<State> initial);
-
-  // Optional omission-reaction functions. Validated against ModelCaps at
-  // set-time: installing o on a model without starter-side omission
-  // detection (or h without reactor-side detection) throws.
-  void set_starter_omission_fn(std::function<State(State)> o);
-  void set_reactor_omission_fn(std::function<State(State)> h);
-
-  void interact(const Interaction& ia) { sys_.interact(ia); }
-
-  [[nodiscard]] State state(AgentId a) const { return sys_.state(a); }
-  [[nodiscard]] const std::vector<State>& states() const noexcept {
-    return sys_.states();
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return sys_.size(); }
-  [[nodiscard]] const OneWayProtocol& protocol() const noexcept { return *protocol_; }
-
-  // True if every agent maps to the same non-negative output.
-  [[nodiscard]] int consensus_output() const;
-
- private:
-  void recompile();
-
-  std::shared_ptr<const OneWayProtocol> protocol_;
-  Model model_;
-  ModelFns fns_;
-  InteractionSystem sys_;
 };
 
 }  // namespace ppfs

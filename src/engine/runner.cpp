@@ -48,14 +48,10 @@ std::unique_ptr<Engine> make_workload_engine(const std::string& kind,
 
 RunResult run_native_workload(const Workload& w, std::uint64_t seed,
                               const RunOptions& opt) {
-  NativeSystem sys(w.protocol, w.initial);
-  UniformScheduler sched(w.initial.size());
+  const auto engine = make_workload_engine("native", w);
+  UniformScheduler sched(engine->size());
   Rng rng(seed);
-  auto counts_probe = workload_counts_probe(w);
-  auto probe = [&](const NativeSystem& s) {
-    return counts_probe(s.population().counts(), s.population().protocol());
-  };
-  return run_until(sys, sched, rng, probe, opt);
+  return run_engine_until(*engine, sched, rng, workload_counts_probe(w), opt);
 }
 
 RunResult run_workload_with_engine(const std::string& engine_kind,

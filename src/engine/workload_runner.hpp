@@ -1,7 +1,9 @@
-// Convenience glue between Workloads (protocols/registry.hpp) and the run
-// loop: build the probe a workload declares and execute it natively under
-// the uniform scheduler. The native numbers are the baseline that every
-// simulator-overhead experiment divides by.
+// Convenience glue between Workloads (protocols/registry.hpp) and the
+// Engine interface (engine/batch/dispatch.hpp): build the probe a workload
+// declares, build an engine from it, and run it under the uniform
+// scheduler. Every run here goes through make_workload_engine and
+// run_engine_until (directly, or via exp::run_replica); the native numbers
+// are the baseline that every simulator-overhead experiment divides by.
 #pragma once
 
 #include <functional>
@@ -9,7 +11,6 @@
 #include <string>
 
 #include "engine/batch/dispatch.hpp"
-#include "engine/native.hpp"
 #include "engine/runner.hpp"
 #include "protocols/registry.hpp"
 
@@ -32,8 +33,10 @@ workload_counts_probe(const Workload& w);
     const std::string& kind, const OneWayWorkload& w,
     const EngineConfig& config);
 
-// Run the workload natively (two-way, no omissions). Returns the result;
-// `converged` reflects the workload's own success criterion.
+// Run the workload natively (two-way, no omissions): the native engine
+// from make_workload_engine, driven by run_engine_until under a
+// UniformScheduler with Rng(seed). Returns the result; `converged`
+// reflects the workload's own success criterion.
 [[nodiscard]] RunResult run_native_workload(const Workload& w, std::uint64_t seed,
                                             const RunOptions& opt = {});
 

@@ -10,6 +10,11 @@
 //
 // The victims of inserted omissions are chosen uniformly unless a victim
 // picker is installed (targeted adversaries used by stress tests).
+//
+// next_delivery is the one step-wise omission injector: the wrapper below
+// and the dispatch engines' per-agent loops (engine/batch/dispatch.cpp)
+// all deliver through it, so the draw order of an inserted omission is
+// defined in exactly one place.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +27,33 @@
 
 namespace ppfs {
 
+// Picks the victims of an inserted omission (next_delivery forces the
+// returned `omissive` flag to true).
+using VictimPicker = std::function<Interaction(Rng&, std::size_t step)>;
+
+// The interaction delivered at `step` over n agents. With a process
+// attached, ask should_omit first; on yes strike a victim pair — the
+// picker's, or a uniform ordered pair stamped with the adversary's side —
+// and otherwise (or with no process) deliver the scheduler's next pick.
+// Inline: the per-agent engines call it once per interaction.
+[[nodiscard]] inline Interaction next_delivery(
+    OmissionProcess* process, Scheduler& sched, Rng& rng, std::size_t step,
+    std::size_t n, const VictimPicker& picker = nullptr) {
+  if (process == nullptr || !process->should_omit(rng, step))
+    return sched.next(rng, step);
+  if (picker) {
+    Interaction ia = picker(rng, step);
+    ia.omissive = true;
+    return ia;
+  }
+  Interaction ia = uniform_ordered_pair(rng, n);
+  ia.omissive = true;
+  ia.side = process->params().side;
+  return ia;
+}
+
 class OmissionAdversary final : public Scheduler {
  public:
-  using VictimPicker = std::function<Interaction(Rng&, std::size_t step)>;
-
   OmissionAdversary(std::unique_ptr<Scheduler> base, std::size_t n,
                     AdversaryParams params);
 

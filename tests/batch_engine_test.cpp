@@ -121,7 +121,8 @@ TEST(EngineDispatch, NativeRecordsTraceBatchRefuses) {
   (void)nat->advance(25, sched, rng);
   EXPECT_EQ(trace.size(), 25u);
   // The recorded trace replays to the same configuration.
-  NativeSystem replayed(make_or_protocol(), {0, 1, 0, 1});
+  InteractionSystem replayed(RuleMatrix::compile(make_or_protocol(), Model::TW),
+                             {0, 1, 0, 1});
   trace.replay(replayed);
   EXPECT_EQ(replayed.population().counts(), nat->counts());
 }
@@ -166,7 +167,7 @@ TEST(EngineDispatch, RunWorkloadWithEngineAllRegistryWorkloads) {
   }
 }
 
-TEST(EngineDispatch, NativeEngineMatchesRawNativeSystem) {
+TEST(EngineDispatch, NativeEngineMatchesRawInteractionSystem) {
   // Same scheduler + rng seed => identical interaction sequence, so the
   // facade must land in exactly the configuration the raw loop produces.
   const Workload w = standard_workloads(16)[3];  // exact majority
@@ -175,7 +176,7 @@ TEST(EngineDispatch, NativeEngineMatchesRawNativeSystem) {
   Rng rng_a(12);
   (void)e->advance(5'000, sched_a, rng_a);
 
-  NativeSystem raw(w.protocol, w.initial);
+  InteractionSystem raw(RuleMatrix::compile(w.protocol, Model::TW), w.initial);
   UniformScheduler sched_b(16);
   Rng rng_b(12);
   for (std::size_t i = 0; i < 5'000; ++i) raw.interact(sched_b.next(rng_b, i));

@@ -103,7 +103,10 @@ TEST(EngineCheckpoint, AdaptiveEngineResumesExactly) {
 
 TEST(EngineCheckpoint, SimBatchEngineResumesExactly) {
   // SKnO wrapper in count space: rules checkpoint (token state) rides
-  // along with the interned configuration.
+  // along with the interned configuration. Capped well short of
+  // convergence (~2.3e7 interactions at this n): every 512-interaction
+  // slice still captures, and the resume-into-convergence path is covered
+  // by the batch, adaptive and auto cells.
   ScenarioSpec spec;
   spec.workload = "exact-majority-gap";
   spec.n = 48;
@@ -112,6 +115,7 @@ TEST(EngineCheckpoint, SimBatchEngineResumesExactly) {
   spec.trials = 1;
   spec.seed = 7;
   spec.check_every = 512;
+  spec.max_steps = 2'000'000;
   expect_resume_exact(spec);
 }
 

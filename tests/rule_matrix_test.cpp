@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/batch/dispatch.hpp"
 #include "engine/native.hpp"
 #include "protocols/majority.hpp"
 #include "protocols/oneway.hpp"
@@ -183,21 +184,26 @@ TEST(RuleMatrix, OmissiveClosureLiftsNonOmissiveModels) {
       EXPECT_TRUE(m.is_noop(InteractionClass::OmitBoth, s, r));
 }
 
-TEST(InteractionSystemRules, SharedSemanticsWithOneWaySystem) {
-  // The wrapper and a hand-built InteractionSystem agree interaction by
-  // interaction (same RuleMatrix underneath).
+TEST(InteractionSystemRules, SharedSemanticsWithNativeEngine) {
+  // The dispatch native engine and a hand-built InteractionSystem agree
+  // interaction by interaction (same RuleMatrix underneath).
   auto p = make_it_or_with_beacon();
-  OneWaySystem wrapped(p, Model::I2, {0, 2, 1});
+  EngineConfig config;
+  config.model = Model::I2;
+  auto engine = make_engine("native", p, {0, 2, 1}, config);
   InteractionSystem raw(RuleMatrix::compile(p, Model::I2, {0, 2, 1}),
                         {0, 2, 1});
   const std::vector<Interaction> script = {
       {0, 1, false}, {1, 2, true}, {2, 0, false}, {0, 2, true}};
+  ScriptedScheduler sched(script, nullptr);
+  Rng rng(1);
   for (const Interaction& ia : script) {
-    wrapped.interact(ia);
+    (void)engine->advance(1, sched, rng);
     raw.interact(ia);
-    EXPECT_EQ(wrapped.states(), raw.states());
+    EXPECT_EQ(engine->counts(), raw.population().counts());
   }
   EXPECT_EQ(raw.omissions(), 2u);
+  EXPECT_EQ(engine->omissions(), 2u);
 }
 
 }  // namespace

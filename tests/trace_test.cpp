@@ -35,9 +35,10 @@ TEST(Trace, RejectsGarbage) {
 
 TEST(Trace, ReplayDrivesASystem) {
   Trace t({{0, 1, false}, {1, 2, false}});
-  NativeSystem sys(make_or_protocol(), {1, 0, 0});
+  InteractionSystem sys(RuleMatrix::compile(make_or_protocol(), Model::TW),
+                        {1, 0, 0});
   t.replay(sys);
-  EXPECT_EQ(sys.population().consensus_output(), 1);
+  EXPECT_EQ(sys.consensus_output(), 1);
 }
 
 TEST(Trace, EmptyTrace) {
@@ -86,13 +87,14 @@ TEST(RecordingScheduler, CapturedTraceReplaysToSameConfiguration) {
   constexpr std::size_t kSteps = 64;
   const std::vector<State> init = {1, 1, 1, 0, 0, 0, 0, 0};
 
-  NativeSystem live(make_or_protocol(), init);
+  const RuleMatrix rules = RuleMatrix::compile(make_or_protocol(), Model::TW);
+  InteractionSystem live(rules, init);
   Trace sink;
   RecordingScheduler rec(std::make_unique<UniformScheduler>(kN), &sink);
   Rng rng(7);
   for (std::size_t s = 0; s < kSteps; ++s) live.interact(rec.next(rng, s));
 
-  NativeSystem replayed(make_or_protocol(), init);
+  InteractionSystem replayed(rules, init);
   sink.replay(replayed);
   EXPECT_EQ(replayed.population().counts(), live.population().counts());
 }
