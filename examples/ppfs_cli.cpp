@@ -32,16 +32,16 @@
 //   arguments into a grid string, runs exactly the code `--sweep=<grid>`
 //   runs, and prints the same one-row table. Its exit status is 0 when the
 //   replica converged and, where the run was verified, matching_ok = 1;
-//   otherwise 1 (a replica that throws, e.g. an adversary on a
-//   non-omissive simulator model, prints FAILED on stderr); 2 for
-//   arguments the grid parser rejects.
+//   otherwise 1 (a replica that throws prints FAILED on stderr); 2 for
+//   arguments the grid parser rejects and for unknown workload names.
 //
 //     positional  W@n=N:model=M:sim=SIM:adv=A:engine=native:verify=1:
 //                 seed=S:trials=1 — a step-wise simulator run checked by
 //                 the Definition-3 matching verifier. SIM is skno:o=B for
 //                 skno (o = 0 when budget is "uo"); A is none when
 //                 rate = 0, uo:RATE when budget is "uo", budget:B:RATE
-//                 otherwise.
+//                 otherwise. As on --engine, an adversary lifts a
+//                 non-omissive model to its omissive closure.
 //     --engine    W@n=N[:model=M]:adv=SPEC:engine=K[:sim=SIM]:seed=S:
 //                 trials=1 — a direct run (defaults exact-majority,
 //                 n = 10^6) or, with --simulate, a simulator run (defaults
@@ -118,6 +118,7 @@
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep_service.hpp"
+#include "protocols/registry.hpp"
 #include "util/binio.hpp"
 #include "util/trajectory.hpp"
 
@@ -260,10 +261,21 @@ int run_sweep(const SweepCliOptions& cli) {
   if (cli.trials) grid.trials = *cli.trials;
   if (cli.seed) grid.seed = *cli.seed;
   if (grid.trials == 0) return usage("--trials must be >= 1");
-  if (cli.single_run && grid.points() != 1)
-    return usage(("a single run names one point; '" + cli.grid_text +
-                  "' names " + std::to_string(grid.points()))
-                     .c_str());
+  if (cli.single_run) {
+    if (grid.points() != 1)
+      return usage(("a single run names one point; '" + cli.grid_text +
+                    "' names " + std::to_string(grid.points()))
+                       .c_str());
+    // Check what the replica would reject as a typo before running it, so
+    // a bad name or size exits 2 rather than as a failed replica.
+    const exp::ScenarioSpec spec = grid.expand().front();
+    if (spec.n < 4) return usage("n must be >= 4");
+    const Model model = exp::resolve_model(spec);
+    if (spec.sim.empty() && is_one_way(model))
+      (void)find_one_way_workload(spec.workload, spec.n, model);
+    else
+      (void)find_workload(spec.workload, spec.n);
+  }
   // --metrics-out / --traj-out imply their capture; default both to the
   // recorder's standard 2^20-interaction cadence unless overridden.
   std::optional<std::size_t> metrics_every = cli.metrics_every;
@@ -490,7 +502,17 @@ std::string engine_grid(const std::vector<std::string>& args) {
   if (!model.empty()) grid += ":model=" + model;
   grid += ":adv=" + adversary + ":engine=" + kind;
   if (sim) grid += ":sim=" + simulate;
-  return grid + ":seed=" + arg(2, "42") + ":trials=1";
+  grid += ":seed=" + arg(2, "42") + ":trials=1";
+  // SPEC and SIM carry ':' and '=' of their own, so bare() cannot check
+  // them; instead the parsed grid must hold each whole. A value that
+  // smuggles in a field ("none:steps=10", "sid:engine=native") is cut
+  // short there and fails this check.
+  const exp::ScenarioGrid parsed = exp::parse_grid(grid);
+  if (parsed.adversaries != std::vector<std::string>{adversary})
+    throw std::invalid_argument("bad --adversary '" + adversary + "'");
+  if (sim && parsed.sims != std::vector<std::string>{simulate})
+    throw std::invalid_argument("bad --simulate '" + simulate + "'");
+  return grid;
 }
 
 }  // namespace

@@ -119,13 +119,16 @@ void harvest_sim_extras(const Simulator& sim, ReplicaResult& out) {
 // SimEvents, so it is the only place matching verification can run.
 [[nodiscard]] ReplicaResult run_native_sim_replica(const ScenarioSpec& spec,
                                                    const Workload& w, Rng rng) {
-  const Model model = resolve_model(spec);
+  const AdversaryParams adv = parse_adversary_spec(spec.adversary);
+  // Same lifting as make_sim_engine: an adversary on a non-omissive model
+  // runs on the model's omissive closure.
+  Model model = resolve_model(spec);
+  if (adv.rate > 0.0 && !is_omissive(model)) model = omissive_closure(model);
   const SimSpec sim_spec = parse_sim_spec(spec.sim);
   auto sim = make_spec_simulator(sim_spec, model, w.protocol,
                                  per_agent_initial(w, "sim=" + spec.sim));
   sim->record_events(spec.verify_matching);
 
-  const AdversaryParams adv = parse_adversary_spec(spec.adversary);
   std::unique_ptr<Scheduler> sched;
   if (adv.rate > 0.0) {
     sched = std::make_unique<OmissionAdversary>(

@@ -229,6 +229,27 @@ TEST(RunReplica, FixedStepsRunsExactlyThatManyInteractions) {
   EXPECT_FALSE(r.run.converged);
 }
 
+TEST(RunReplica, AdversaryLiftsNonOmissiveSimModelsOnEveryEngine) {
+  // sid's default model IO and naive on TW have no omissions; an adversary
+  // runs them on the omissive closure, on the step-wise native replica as
+  // on the count-space engines.
+  for (const char* sim : {"sid", "naive"}) {
+    for (const char* engine : {"native", "batch"}) {
+      ScenarioSpec spec;
+      spec.workload = "or";
+      spec.n = 16;
+      spec.sim = sim;
+      if (std::string(sim) == "naive") spec.model = Model::TW;
+      spec.adversary = "uo:0.2";
+      spec.engine = engine;
+      spec.fixed_steps = 2000;
+      const ReplicaResult r = run_replica(spec, 0);
+      EXPECT_EQ(r.run.steps, 2000u) << sim << " on " << engine;
+      EXPECT_GT(r.run.omissions, 0u) << sim << " on " << engine;
+    }
+  }
+}
+
 TEST(AggregateStats, QuantilesAreExactNearestRank) {
   AggregateStats a;
   for (const std::uint64_t steps : {50u, 10u, 40u, 20u, 30u}) {

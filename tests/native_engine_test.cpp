@@ -173,35 +173,21 @@ TEST(OneWayInteraction, IoMaxSpreadsMaximum) {
   EXPECT_TRUE(res.converged);
 }
 
-// The reference for run_native_workload: a hand-written per-agent loop
-// under the uniform scheduler with Rng(seed), probing every check_every
-// interactions (and once more at the budget) until the probe holds
-// stable_checks times in a row.
+// The reference for run_native_workload: a per-agent InteractionSystem
+// under the uniform scheduler with Rng(seed), run by the step-wise
+// run_until loop.
 RunResult raw_native_run(const Workload& w, std::uint64_t seed,
                          const RunOptions& opt) {
   InteractionSystem sys(RuleMatrix::compile(w.protocol, Model::TW), w.initial);
   UniformScheduler sched(w.initial.size());
   Rng rng(seed);
   const auto probe = workload_counts_probe(w);
-  const auto holds = [&] {
-    return probe(sys.population().counts(), *w.protocol);
-  };
-  RunResult res;
-  std::size_t consecutive = 0;
-  while (res.steps < opt.max_steps) {
-    sys.interact(sched.next(rng, res.steps));
-    ++res.steps;
-    if (res.steps % opt.check_every != 0 && res.steps != opt.max_steps)
-      continue;
-    if (!holds()) {
-      consecutive = 0;
-    } else if (++consecutive >= opt.stable_checks) {
-      res.converged = true;
-      return res;
-    }
-  }
-  res.converged = holds();
-  return res;
+  return run_until(
+      sys, sched, rng,
+      [&](const InteractionSystem& s) {
+        return probe(s.population().counts(), *w.protocol);
+      },
+      opt);
 }
 
 TEST(RunNativeWorkload, MatchesHandWrittenInteractionSystemLoop) {
