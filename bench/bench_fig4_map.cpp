@@ -8,8 +8,8 @@
 //   RED    — the paper's counterexample construction executes and
 //            exhibits the violation (safety break or permanent stall);
 //   ?      — T2 with knowledge of omissions: open problem in the paper;
-//   cited  — IO in panels 1: asserted red by the paper; no constructive
-//            counterexample is given (see EXPERIMENTS.md).
+//   cited  — IO in panels 1: asserted red by the paper's Fig. 4; no
+//            constructive counterexample is given there.
 #include "attack/lemma1.hpp"
 #include "attack/skno_attack.hpp"
 #include "attack/thm32.hpp"
@@ -116,7 +116,7 @@ void panel_infinite_memory() {
         break;
       case Model::IO:
         c = {"RED", "asserted by the paper's Fig. 4 (no constructive "
-                    "counterexample given; see EXPERIMENTS.md)"};
+                    "counterexample given there)"};
         break;
       case Model::T1:
       case Model::T2:

@@ -33,7 +33,8 @@
 //   runs, and prints the same one-row table. Its exit status is 0 when the
 //   replica converged and, where the run was verified, matching_ok = 1;
 //   otherwise 1 (a replica that throws prints FAILED on stderr); 2 for
-//   arguments the grid parser rejects and for unknown workload names.
+//   arguments the grid parser rejects, unknown workload names and n < 4
+//   among them, as for --sweep.
 //
 //     positional  W@n=N:model=M:sim=SIM:adv=A:engine=native:verify=1:
 //                 seed=S:trials=1 — a step-wise simulator run checked by
@@ -118,7 +119,6 @@
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep_service.hpp"
-#include "protocols/registry.hpp"
 #include "util/binio.hpp"
 #include "util/trajectory.hpp"
 
@@ -261,21 +261,10 @@ int run_sweep(const SweepCliOptions& cli) {
   if (cli.trials) grid.trials = *cli.trials;
   if (cli.seed) grid.seed = *cli.seed;
   if (grid.trials == 0) return usage("--trials must be >= 1");
-  if (cli.single_run) {
-    if (grid.points() != 1)
-      return usage(("a single run names one point; '" + cli.grid_text +
-                    "' names " + std::to_string(grid.points()))
-                       .c_str());
-    // Check what the replica would reject as a typo before running it, so
-    // a bad name or size exits 2 rather than as a failed replica.
-    const exp::ScenarioSpec spec = grid.expand().front();
-    if (spec.n < 4) return usage("n must be >= 4");
-    const Model model = exp::resolve_model(spec);
-    if (spec.sim.empty() && is_one_way(model))
-      (void)find_one_way_workload(spec.workload, spec.n, model);
-    else
-      (void)find_workload(spec.workload, spec.n);
-  }
+  if (cli.single_run && grid.points() != 1)
+    return usage(("a single run names one point; '" + cli.grid_text +
+                  "' names " + std::to_string(grid.points()))
+                     .c_str());
   // --metrics-out / --traj-out imply their capture; default both to the
   // recorder's standard 2^20-interaction cadence unless overridden.
   std::optional<std::size_t> metrics_every = cli.metrics_every;

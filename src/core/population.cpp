@@ -72,7 +72,10 @@ bool operator==(const Population& a, const Population& b) {
 
 std::vector<State> make_initial(
     const std::vector<std::pair<State, std::size_t>>& groups) {
+  std::size_t n = 0;
+  for (const auto& group : groups) n += group.second;
   std::vector<State> out;
+  out.reserve(n);
   for (const auto& [q, k] : groups) out.insert(out.end(), k, q);
   return out;
 }

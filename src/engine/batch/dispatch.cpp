@@ -18,17 +18,17 @@ namespace {
 // Resolve the effective model for a (model, adversary) pair: attaching an
 // adversary to a non-omissive model lifts it to its omissive closure
 // (undetectable omissions — the Fig. 1 embedding); an adversary with rate
-// 0 is no adversary at all.
+// 0 is no adversary at all. Every engine kind realizes the same omission
+// process, max_burst included.
 struct ResolvedConfig {
   Model model;
   std::optional<AdversaryParams> adversary;
 };
 
-ResolvedConfig resolve(const EngineConfig& config) {
-  ResolvedConfig r{config.model, config.adversary};
-  if (r.adversary && r.adversary->rate <= 0.0) r.adversary.reset();
-  if (r.adversary) r.model = omissive_closure(config.model);
-  return r;
+ResolvedConfig resolve(Model model, std::optional<AdversaryParams> adversary) {
+  if (adversary && adversary->rate <= 0.0) adversary.reset();
+  if (adversary) model = omissive_closure(model);
+  return {model, adversary};
 }
 
 // Pull-style adversary accounting, shared by every adapter that owns an
@@ -41,6 +41,28 @@ void sync_adversary_metrics(obs::MetricRegistry& reg,
   const std::size_t budget = omit.remaining_budget();
   if (budget != std::numeric_limits<std::size_t>::max())
     reg.gauge("adv.budget_remaining").set(static_cast<double>(budget));
+}
+
+// The count-space faces realize the uniform scheduler's distribution
+// internally: the scheduler argument is validated, not consumed.
+void require_uniform(const Engine& engine, const Scheduler& sched) {
+  const auto* uniform = dynamic_cast<const UniformScheduler*>(&sched);
+  if (uniform != nullptr && uniform->size() == engine.size()) return;
+  throw std::invalid_argument(
+      engine.kind() +
+      " engine: scheduler is not the uniform distribution over this "
+      "population (scripted/hand-built adversarial runs need the native "
+      "engine; omission adversaries attach via make_engine/make_sim_engine)");
+}
+
+// Faces a count-space engine may run: both, arbitrated by a RegimeMonitor
+// (engine=auto), or the count face's system alone (engine=batch) — no
+// internal slicing (a leap cut at a slice boundary re-draws), no monitor,
+// no auto.* gauges, and that system's payload as the checkpoint.
+enum class Faces { Adaptive, CountPinned };
+
+Faces faces_of(const std::string& kind) {
+  return kind == "batch" ? Faces::CountPinned : Faces::Adaptive;
 }
 
 class NativeEngine final : public Engine {
@@ -116,92 +138,40 @@ class NativeEngine final : public Engine {
   Trace* trace_ = nullptr;
 };
 
-class BatchEngine final : public Engine {
- public:
-  BatchEngine(RuleMatrix rules, std::vector<std::size_t> counts,
-              const std::optional<AdversaryParams>& adversary)
-      : sys_(std::move(rules), std::move(counts)) {
-    if (adversary) sys_.set_omission_process(*adversary);
-  }
-
-  [[nodiscard]] std::string kind() const override { return "batch"; }
-  [[nodiscard]] const Protocol& protocol() const override {
-    return sys_.protocol();
-  }
-  [[nodiscard]] Model model() const override { return sys_.rules().model(); }
-  [[nodiscard]] std::size_t size() const override { return sys_.size(); }
-  [[nodiscard]] std::size_t interactions() const override { return sys_.steps(); }
-  [[nodiscard]] std::size_t omissions() const override { return sys_.omissions(); }
-
-  void counts_into(std::vector<std::size_t>& out) const override {
-    out = sys_.counts();
-  }
-
-  std::size_t advance(std::size_t budget, Scheduler& sched, Rng& rng) override {
-    // The batch engine realizes the uniform distribution internally; the
-    // scheduler argument is validated, not consumed.
-    const auto* uniform = dynamic_cast<const UniformScheduler*>(&sched);
-    if (uniform == nullptr || uniform->size() != sys_.size())
-      throw std::invalid_argument(
-          "batch engine: scheduler is not the uniform distribution over this "
-          "population (scripted/hand-built adversarial runs need the native "
-          "engine; omission adversaries attach via make_engine)");
-    std::size_t covered = 0;
-    while (covered < budget) covered += sys_.advance(budget - covered, rng).interactions;
-    PPFS_AUDIT_INVOKE(sys_.audit_invariants());
-    return covered;
-  }
-
-  [[nodiscard]] RunStats& stats() noexcept override { return sys_.stats(); }
-
-  [[nodiscard]] bool checkpointable() const override { return true; }
-  void save_state(bin::Writer& w) const override { sys_.save_state(w); }
-  void restore_state(bin::Reader& r) override { sys_.restore_state(r); }
-
-  void sync_metrics() override {
-    Engine::sync_metrics();
-    if (metrics() == nullptr) return;
-    if (const OmissionProcess* o = sys_.omission_process())
-      sync_adversary_metrics(*metrics(), *o);
-  }
-
- protected:
-  void wire_metrics(obs::MetricRegistry& reg) override {
-    sys_.set_metrics(&reg);
-  }
-
- private:
-  BatchSystem sys_;
-};
-
-// engine=auto over a closed universe: two faces — the count-leap face
-// (BatchSystem::advance, wins when almost no delivery changes counts) and
-// the round-dense face (RoundSystem, wins when almost every delivery
+// Count-space engine over a closed universe: two faces — the count-leap
+// face (BatchSystem::advance, wins when almost no delivery changes counts)
+// and the round-dense face (RoundSystem, wins when almost every delivery
 // does) — over ONE BatchSystem. The faces share the configuration, stats,
 // step counter and omission process, so switching moves no state and
 // consumes no Rng draws; the trajectory distribution is identical on both
-// (each is an exact sampler of the same count chain). A RegimeMonitor
-// arbitrates on the fire density ((1-p)Wr + p·Wo)/T — an O(1) read off
-// the incrementally-maintained class weights — with Space::Agent mapped
-// to the round face: at or above `kToRound` density rounds win (the leap
+// (each is an exact sampler of the same count chain). engine=batch pins
+// the leap face (Faces). Under engine=auto a RegimeMonitor arbitrates on
+// the fire density ((1-p)Wr + p·Wo)/T — an O(1) read off the
+// incrementally-maintained class weights — with Space::Agent mapped to the
+// round face: at or above `kToRound` density rounds win (the leap
 // degenerates to one draw per interaction), at or below `kToLeap` leaping
 // wins (rounds pay O(q^2) per ~sqrt(n) mostly-noop interactions), and the
 // monitor's hysteresis/cooldown keeps the boundary from flapping.
 class AdaptiveBatchEngine final : public Engine {
  public:
   AdaptiveBatchEngine(RuleMatrix rules, std::vector<std::size_t> counts,
-                      const std::optional<AdversaryParams>& adversary)
-      : sys_(std::move(rules), std::move(counts)), round_(sys_) {
+                      const std::optional<AdversaryParams>& adversary,
+                      Faces faces)
+      : sys_(std::move(rules), std::move(counts)) {
     if (adversary) sys_.set_omission_process(*adversary);
+    if (faces == Faces::CountPinned) return;
+    round_.emplace(sys_);
     RegimeMonitor::Thresholds thr;
     thr.to_agent = kToRound;
     thr.to_count = kToLeap;
     monitor_.emplace(RegimeMonitor::favored(sys_.fire_density(), thr), thr);
   }
 
-  [[nodiscard]] std::string kind() const override { return "auto"; }
+  [[nodiscard]] std::string kind() const override {
+    return pinned() ? "batch" : "auto";
+  }
   [[nodiscard]] std::string active_kind() const override {
-    return in_round() ? "round" : "leap";
+    return pinned() ? "batch" : in_round() ? "round" : "leap";
   }
   [[nodiscard]] const Protocol& protocol() const override {
     return sys_.protocol();
@@ -216,26 +186,24 @@ class AdaptiveBatchEngine final : public Engine {
   }
 
   std::size_t advance(std::size_t budget, Scheduler& sched, Rng& rng) override {
-    const auto* uniform = dynamic_cast<const UniformScheduler*>(&sched);
-    if (uniform == nullptr || uniform->size() != sys_.size())
-      throw std::invalid_argument(
-          "auto engine: scheduler is not the uniform distribution over this "
-          "population (scripted/hand-built adversarial runs need the native "
-          "engine; omission adversaries attach via make_engine)");
+    require_uniform(*this, sched);
     std::size_t covered = 0;
     while (covered < budget) {
       // Internal slice between regime checks, independent of the caller's
-      // advance() granularity. Truncating a round or a leap at the slice
-      // boundary is exact (i.i.d. pairs / memoryless geometric).
-      const std::size_t slice = std::min(kSlice, budget - covered);
+      // advance() granularity; a pinned engine takes the budget whole.
+      // Truncating a round or a leap at the slice boundary is exact
+      // (i.i.d. pairs / memoryless geometric).
+      const std::size_t slice =
+          pinned() ? budget - covered : std::min(kSlice, budget - covered);
       std::size_t c = 0;
       if (in_round()) {
-        while (c < slice) c += round_.advance(slice - c, rng).interactions;
+        while (c < slice) c += round_->advance(slice - c, rng).interactions;
       } else {
         while (c < slice) c += sys_.advance(slice - c, rng).interactions;
       }
       covered += c;
       PPFS_AUDIT_INVOKE(sys_.audit_invariants());
+      if (pinned()) continue;
       // Density is the exact per-delivery fire probability, so the
       // monitor's dispersion channel carries it directly; the fresh-id
       // channel is neutral (nothing is interned here) and the fire-cost
@@ -259,12 +227,14 @@ class AdaptiveBatchEngine final : public Engine {
   [[nodiscard]] bool checkpointable() const override { return true; }
   void save_state(bin::Writer& w) const override {
     sys_.save_state(w);
-    round_.save_state(w);
+    if (pinned()) return;
+    round_->save_state(w);
     monitor_->save_state(w);
   }
   void restore_state(bin::Reader& r) override {
     sys_.restore_state(r);
-    round_.restore_state(r);
+    if (pinned()) return;
+    round_->restore_state(r);
     monitor_->restore_state(r);
   }
 
@@ -272,9 +242,11 @@ class AdaptiveBatchEngine final : public Engine {
     Engine::sync_metrics();
     if (metrics() == nullptr) return;
     obs::MetricRegistry& reg = *metrics();
-    reg.gauge("auto.round_face").set(in_round() ? 1.0 : 0.0);
-    reg.gauge("auto.switches")
-        .set(static_cast<double>(monitor_->switches()));
+    if (!pinned()) {
+      reg.gauge("auto.round_face").set(in_round() ? 1.0 : 0.0);
+      reg.gauge("auto.switches")
+          .set(static_cast<double>(monitor_->switches()));
+    }
     if (const OmissionProcess* o = sys_.omission_process())
       sync_adversary_metrics(reg, *o);
   }
@@ -282,7 +254,7 @@ class AdaptiveBatchEngine final : public Engine {
  protected:
   void wire_metrics(obs::MetricRegistry& reg) override {
     sys_.set_metrics(&reg);
-    round_.set_metrics(&reg);
+    if (round_) round_->set_metrics(&reg);
   }
 
  private:
@@ -295,12 +267,13 @@ class AdaptiveBatchEngine final : public Engine {
   static constexpr double kToLeap = 1.0 / 16;
   static constexpr std::size_t kSlice = 1u << 16;
 
+  [[nodiscard]] bool pinned() const { return !monitor_; }
   [[nodiscard]] bool in_round() const {
-    return monitor_->current() == RegimeMonitor::Space::Agent;
+    return monitor_ && monitor_->current() == RegimeMonitor::Space::Agent;
   }
 
   BatchSystem sys_;
-  RoundSystem round_;  // second face over sys_'s state
+  std::optional<RoundSystem> round_;  // second face over sys_'s state
   std::optional<RegimeMonitor> monitor_;
 };
 
@@ -382,86 +355,6 @@ class SimNativeEngine final : public Engine {
   std::optional<OmissionProcess> omit_;
 };
 
-// Count-space simulator engine over the open-universe SimBatchSystem.
-class SimBatchEngine final : public Engine {
- public:
-  SimBatchEngine(std::shared_ptr<DynamicRuleSource> rules,
-                 const std::vector<State>& sim_initial,
-                 const std::optional<AdversaryParams>& adversary,
-                 std::optional<std::size_t> outcome_cache_capacity)
-      : sys_(std::move(rules), sim_initial, outcome_cache_capacity) {
-    if (adversary) sys_.set_omission_process(*adversary);
-  }
-
-  [[nodiscard]] std::string kind() const override { return "batch"; }
-  [[nodiscard]] const Protocol& protocol() const override {
-    return sys_.protocol();
-  }
-  [[nodiscard]] Model model() const override { return sys_.rules().model(); }
-  [[nodiscard]] std::size_t size() const override { return sys_.size(); }
-  [[nodiscard]] std::size_t interactions() const override { return sys_.steps(); }
-  [[nodiscard]] std::size_t omissions() const override { return sys_.omissions(); }
-
-  void counts_into(std::vector<std::size_t>& out) const override {
-    out = sys_.projected_counts();
-  }
-
-  std::size_t advance(std::size_t budget, Scheduler& sched, Rng& rng) override {
-    const auto* uniform = dynamic_cast<const UniformScheduler*>(&sched);
-    if (uniform == nullptr || uniform->size() != sys_.size())
-      throw std::invalid_argument(
-          "sim batch engine: scheduler is not the uniform distribution over "
-          "this population (scripted/hand-built adversarial runs need the "
-          "native engine; omission adversaries attach via make_sim_engine)");
-    std::size_t covered = 0;
-    while (covered < budget)
-      covered += sys_.advance(budget - covered, rng).interactions;
-    PPFS_AUDIT_INVOKE(sys_.audit_invariants());
-    return covered;
-  }
-
-  [[nodiscard]] RunStats& stats() noexcept override { return sys_.stats(); }
-
-  [[nodiscard]] bool checkpointable() const override {
-    return sys_.rules().checkpointable();
-  }
-  void save_state(bin::Writer& w) const override { sys_.save_state(w); }
-  void restore_state(bin::Reader& r) override { sys_.restore_state(r); }
-
-  [[nodiscard]] std::size_t universe_live() const override {
-    return sys_.universe_live();
-  }
-
-  void sync_metrics() override {
-    Engine::sync_metrics();
-    if (metrics() == nullptr) return;
-    obs::MetricRegistry& reg = *metrics();
-    sys_.rules().export_metrics(reg);
-    reg.gauge("universe.live").set(static_cast<double>(sys_.universe_live()));
-    reg.gauge("universe.size")
-        .set(static_cast<double>(sys_.rules().universe_size()));
-    if (const OmissionProcess* o = sys_.omission_process())
-      sync_adversary_metrics(reg, *o);
-  }
-
-  void fill_summary(obs::ConfigSummary& out, std::size_t top_k) const override {
-    Engine::fill_summary(out, top_k);
-    // top_counts stay the simulated projection (those labels mean
-    // something to a reader); the distinct-state count tracks the
-    // execution universe instead — dispersion then measures wrapper-state
-    // growth, the quantity the open-universe design exists to bound.
-    out.distinct_states = sys_.universe_live();
-  }
-
- protected:
-  void wire_metrics(obs::MetricRegistry& reg) override {
-    sys_.set_metrics(&reg);
-  }
-
- private:
-  SimBatchSystem sys_;
-};
-
 // engine=auto: one rule source, two execution strategies — the count-space
 // SimBatchSystem and the direct per-agent AgentSpaceSim driver — with a
 // RegimeMonitor (engine/batch/regime.hpp) choosing between them. The run
@@ -479,22 +372,24 @@ class SimBatchEngine final : public Engine {
 // SimBatchSystem::lend_omission_process, with a bridged SimBatchSystem
 // starting at the global step. Burst, budget and the NO horizon therefore
 // carry across every switch, and auto arbitrates under adversaries exactly
-// as without one.
+// as without one. engine=batch pins count space (Faces): the one
+// SimBatchSystem's stats, step counter and checkpoint are the engine's.
 class AutoSimEngine final : public Engine {
  public:
   AutoSimEngine(std::shared_ptr<DynamicRuleSource> rules,
                 const std::vector<State>& sim_initial,
                 const std::optional<AdversaryParams>& adversary,
                 std::optional<std::size_t> outcome_cache_capacity,
-                std::optional<std::size_t> force_switch_at)
+                std::optional<std::size_t> force_switch_at, Faces faces)
       : rules_(std::move(rules)),
         stats_(rules_->protocol().num_states()),
         cache_cap_(outcome_cache_capacity),
         force_switch_at_(force_switch_at) {
-    driver_ = make_agent_space_sim(*rules_);
     sys_ = std::make_unique<SimBatchSystem>(rules_, sim_initial, cache_cap_);
     if (adversary) sys_->lend_omission_process(omit_.emplace(*adversary));
     n_ = sys_->size();
+    if (faces == Faces::CountPinned) return;
+    driver_ = make_agent_space_sim(*rules_);
     slice_ = std::clamp<std::size_t>(16 * n_, kMinSlice, kMaxSlice);
     const double d0 = static_cast<double>(sys_->universe_live()) /
                       static_cast<double>(n_);
@@ -512,16 +407,20 @@ class AutoSimEngine final : public Engine {
     enable_metrics();
   }
 
-  [[nodiscard]] std::string kind() const override { return "auto"; }
+  [[nodiscard]] std::string kind() const override {
+    return pinned() ? "batch" : "auto";
+  }
   [[nodiscard]] std::string active_kind() const override {
-    return in_agent_ ? "agent" : "count";
+    return pinned() ? "batch" : in_agent_ ? "agent" : "count";
   }
   [[nodiscard]] const Protocol& protocol() const override {
     return rules_->protocol();
   }
   [[nodiscard]] Model model() const override { return rules_->model(); }
   [[nodiscard]] std::size_t size() const override { return n_; }
-  [[nodiscard]] std::size_t interactions() const override { return steps_; }
+  [[nodiscard]] std::size_t interactions() const override {
+    return pinned() ? sys_->steps() : steps_;
+  }
   [[nodiscard]] std::size_t omissions() const override {
     return omit_ ? omit_->emitted() : 0;
   }
@@ -532,13 +431,14 @@ class AutoSimEngine final : public Engine {
   }
 
   std::size_t advance(std::size_t budget, Scheduler& sched, Rng& rng) override {
-    const auto* uniform = dynamic_cast<const UniformScheduler*>(&sched);
-    if (uniform == nullptr || uniform->size() != n_)
-      throw std::invalid_argument(
-          "auto engine: scheduler is not the uniform distribution over this "
-          "population (scripted/hand-built adversarial runs need the native "
-          "engine; omission adversaries attach via make_sim_engine)");
+    require_uniform(*this, sched);
     std::size_t covered = 0;
+    if (pinned()) {
+      while (covered < budget)
+        covered += sys_->advance(budget - covered, rng).interactions;
+      PPFS_AUDIT_INVOKE(sys_->audit_invariants());
+      return covered;
+    }
     while (covered < budget) {
       const std::size_t slice = std::min(slice_, budget - covered);
       if (in_agent_) {
@@ -566,7 +466,9 @@ class AutoSimEngine final : public Engine {
     return covered;
   }
 
-  [[nodiscard]] RunStats& stats() noexcept override { return stats_; }
+  [[nodiscard]] RunStats& stats() noexcept override {
+    return pinned() ? sys_->stats() : stats_;
+  }
 
   // Exact, with or without an adversary: arbitration reads only state that
   // round-trips — the master stats, the live universe and the fresh-id
@@ -576,6 +478,7 @@ class AutoSimEngine final : public Engine {
   }
 
   void save_state(bin::Writer& w) const override {
+    if (pinned()) return sys_->save_state(w);
     w.u8(in_agent_ ? 1 : 0);
     if (in_agent_) {
       // Agent face: the interner plus the per-agent records ARE the
@@ -600,6 +503,7 @@ class AutoSimEngine final : public Engine {
   }
 
   void restore_state(bin::Reader& r) override {
+    if (pinned()) return sys_->restore_state(r);
     const bool agent = r.u8() != 0;
     if (agent && driver_ == nullptr)
       throw std::runtime_error(
@@ -642,14 +546,19 @@ class AutoSimEngine final : public Engine {
     reg.gauge("universe.live").set(static_cast<double>(universe_live()));
     reg.gauge("universe.size")
         .set(static_cast<double>(rules_->universe_size()));
-    reg.gauge("auto.agent_space").set(in_agent_ ? 1.0 : 0.0);
-    reg.gauge("auto.switches")
-        .set(static_cast<double>(monitor_->switches()));
+    if (!pinned()) {
+      reg.gauge("auto.agent_space").set(in_agent_ ? 1.0 : 0.0);
+      reg.gauge("auto.switches")
+          .set(static_cast<double>(monitor_->switches()));
+    }
     if (omit_) sync_adversary_metrics(reg, *omit_);
   }
 
   void fill_summary(obs::ConfigSummary& out, std::size_t top_k) const override {
     Engine::fill_summary(out, top_k);
+    // top_counts stay the simulated projection (labels a reader knows);
+    // distinct states track the execution universe — the wrapper-state
+    // growth the open-universe design exists to bound.
     out.distinct_states = universe_live();
   }
 
@@ -671,6 +580,8 @@ class AutoSimEngine final : public Engine {
   // wrong face for a large share of short windows.
   static constexpr std::size_t kMinSlice = 1u << 12;
   static constexpr std::size_t kMaxSlice = 1u << 16;
+
+  [[nodiscard]] bool pinned() const { return !monitor_; }
 
   void fold_count_stats() {
     stats_.merge(sys_->stats());
@@ -772,8 +683,8 @@ class AutoSimEngine final : public Engine {
 
   std::shared_ptr<DynamicRuleSource> rules_;
   std::unique_ptr<SimBatchSystem> sys_;    // live in count space only
-  std::unique_ptr<AgentSpaceSim> driver_;  // null: count-only source
-  std::optional<RegimeMonitor> monitor_;
+  std::unique_ptr<AgentSpaceSim> driver_;  // null: pinned or count-only source
+  std::optional<RegimeMonitor> monitor_;   // null: pinned
   RunStats stats_;  // master record; per-strategy slices fold in
   std::optional<std::size_t> cache_cap_;
   std::optional<std::size_t> force_switch_at_;
@@ -800,15 +711,13 @@ std::unique_ptr<Engine> build_from_counts(
     throw std::invalid_argument(
         "make_engine: counts vector longer than the protocol's state space");
   counts.resize(rules.num_states(), 0);
-  if (kind == "batch")
-    return std::make_unique<BatchEngine>(std::move(rules), std::move(counts),
-                                         adversary);
   // Closed universes still have a regime — not dispersion (the state
   // space is fixed) but fire DENSITY: sparse runs want the leap face,
-  // dense runs the round face. "auto" arbitrates between them.
-  if (kind == "auto")
-    return std::make_unique<AdaptiveBatchEngine>(std::move(rules),
-                                                 std::move(counts), adversary);
+  // dense runs the round face. "auto" arbitrates between them; "batch"
+  // pins the leap face.
+  if (kind == "batch" || kind == "auto")
+    return std::make_unique<AdaptiveBatchEngine>(
+        std::move(rules), std::move(counts), adversary, faces_of(kind));
   if (kind == "native")
     throw std::invalid_argument(
         "make_engine_from_counts: the native engine is per-agent; populations "
@@ -929,7 +838,7 @@ std::unique_ptr<Engine> make_engine(const std::string& kind,
                                     std::shared_ptr<const Protocol> protocol,
                                     const std::vector<State>& initial,
                                     const EngineConfig& config) {
-  const ResolvedConfig r = resolve(config);
+  const ResolvedConfig r = resolve(config.model, config.adversary);
   RuleMatrix rules =
       RuleMatrix::compile(std::move(protocol), r.model, config.fns);
   if (kind == "native")
@@ -948,7 +857,7 @@ std::unique_ptr<Engine> make_engine(
     return make_engine_from_counts(
         kind, protocol, count_initial(initial, protocol->num_states()), config);
   }
-  const ResolvedConfig r = resolve(config);
+  const ResolvedConfig r = resolve(config.model, config.adversary);
   RuleMatrix rules =
       RuleMatrix::compile(std::move(protocol), r.model, initial, config.fns);
   return std::make_unique<NativeEngine>(std::move(rules), initial,
@@ -965,7 +874,7 @@ std::unique_ptr<Engine> make_engine_from_counts(
 std::unique_ptr<Engine> make_engine_from_counts(
     const std::string& kind, std::shared_ptr<const Protocol> protocol,
     std::vector<std::size_t> counts, const EngineConfig& config) {
-  const ResolvedConfig r = resolve(config);
+  const ResolvedConfig r = resolve(config.model, config.adversary);
   return build_from_counts(
       kind, RuleMatrix::compile(std::move(protocol), r.model, config.fns),
       std::move(counts), r.adversary);
@@ -974,7 +883,7 @@ std::unique_ptr<Engine> make_engine_from_counts(
 std::unique_ptr<Engine> make_engine_from_counts(
     const std::string& kind, std::shared_ptr<const OneWayProtocol> protocol,
     std::vector<std::size_t> counts, const EngineConfig& config) {
-  const ResolvedConfig r = resolve(config);
+  const ResolvedConfig r = resolve(config.model, config.adversary);
   RuleMatrix rules = RuleMatrix::compile(std::move(protocol), r.model,
                                          occupied_states(counts), config.fns);
   return build_from_counts(kind, std::move(rules), std::move(counts),
@@ -985,20 +894,14 @@ std::unique_ptr<Engine> make_sim_engine(const std::string& kind,
                                         std::shared_ptr<const Protocol> protocol,
                                         const std::vector<State>& initial,
                                         const SimEngineConfig& config) {
-  Model model = config.model.value_or(default_sim_model(config.spec));
-  std::optional<AdversaryParams> adversary = config.adversary;
-  if (adversary && adversary->rate <= 0.0) adversary.reset();
-  // Same lifting as make_engine: both engine kinds realize one omission
-  // process (max_burst included — the batch path samples the within-burst
-  // chain exactly).
-  if (adversary && !is_omissive(model)) model = omissive_closure(model);
-  if (kind == "native") {
+  const ResolvedConfig r = resolve(
+      config.model.value_or(default_sim_model(config.spec)), config.adversary);
+  if (kind == "native")
     return std::make_unique<SimNativeEngine>(
-        make_spec_simulator(config.spec, model, std::move(protocol), initial),
-        adversary);
-  }
+        make_spec_simulator(config.spec, r.model, std::move(protocol), initial),
+        r.adversary);
   return make_sim_engine(kind,
-                         make_sim_rule_source(config.spec, model,
+                         make_sim_rule_source(config.spec, r.model,
                                               std::move(protocol),
                                               initial.size()),
                          initial, config);
@@ -1008,17 +911,11 @@ std::unique_ptr<Engine> make_sim_engine(const std::string& kind,
                                         std::shared_ptr<DynamicRuleSource> rules,
                                         const std::vector<State>& initial,
                                         const SimEngineConfig& config) {
-  std::optional<AdversaryParams> adversary = config.adversary;
-  if (adversary && adversary->rate <= 0.0) adversary.reset();
-  if (kind == "batch")
-    return std::make_unique<SimBatchEngine>(std::move(rules), initial,
-                                            adversary,
-                                            config.outcome_cache_capacity);
-  if (kind == "auto")
-    return std::make_unique<AutoSimEngine>(std::move(rules), initial,
-                                           adversary,
-                                           config.outcome_cache_capacity,
-                                           config.auto_force_switch_at);
+  const ResolvedConfig r = resolve(rules->model(), config.adversary);
+  if (kind == "batch" || kind == "auto")
+    return std::make_unique<AutoSimEngine>(
+        std::move(rules), initial, r.adversary, config.outcome_cache_capacity,
+        config.auto_force_switch_at, faces_of(kind));
   throw std::invalid_argument("make_sim_engine: unknown engine kind '" + kind +
                               "'");
 }

@@ -1,15 +1,22 @@
 // EngineDispatch: one interface over the per-agent native engine and the
-// count-based batch engine, so the run loop, workload runner, stats, and
-// traces can drive either without caring which representation is
+// count-space engines, so the run loop, workload runner, stats, and traces
+// can drive any of them without caring which representation is
 // underneath. Engines are selected by (model, engine kind, adversary)
-// triple: any model of the §2.2–2.3 lattice, "native" or "batch"
-// execution, and an optional omission adversary (Def. 1–2). make_engine is
-// the single construction point.
+// triple: any model of the §2.2–2.3 lattice, an optional omission
+// adversary (Def. 1–2), and one of three kinds:
+//   * "native" — per-agent, one interaction at a time;
+//   * "auto" — one count-space engine per universe with two exact faces
+//     (closed universe: count-leap and round-dense; simulators: count
+//     space and agent space), switched by a RegimeMonitor;
+//   * "batch" — the same engine with its count face pinned (the leap
+//     face; open-universe count space for simulators): no monitor, no
+//     internal slicing.
+// make_engine / make_sim_engine are the construction points.
 //
-// The scheduler contract differs between the two:
+// The scheduler contract differs between the two representations:
 //   * a native engine consumes real interactions from the Scheduler it is
 //     given and inserts omissions itself via its OmissionProcess;
-//   * a batch engine realizes the uniform scheduler's distribution
+//   * a count-space engine realizes the uniform scheduler's distribution
 //     internally (count-level sampling) and therefore only accepts a
 //     UniformScheduler of matching size — the Scheduler argument is a
 //     specification to validate, not a source of pairs. Scripted and
@@ -55,8 +62,8 @@ class Engine {
 
   [[nodiscard]] virtual std::string kind() const = 0;
   // The execution representation currently underneath. Equal to kind()
-  // for every fixed engine; the auto engine reports which strategy is
-  // live right now ("count" or "agent").
+  // for native and batch engines; an auto engine reports the face live
+  // right now ("leap"/"round" or "count"/"agent").
   [[nodiscard]] virtual std::string active_kind() const { return kind(); }
   [[nodiscard]] virtual const Protocol& protocol() const = 0;
   [[nodiscard]] virtual Model model() const = 0;
@@ -151,7 +158,8 @@ struct EngineConfig {
 // adversary. For closed-universe protocols "auto" is the adaptive batch
 // engine: two exact faces over one BatchSystem — the count-leap face and
 // the round-dense face (round_system.hpp) — arbitrated by a RegimeMonitor
-// on the fire density, with active_kind() reporting "leap" or "round".
+// on the fire density, with active_kind() reporting "leap" or "round";
+// "batch" is that engine pinned to the leap face.
 // `initial` holds one state per agent. Only "native" keeps a copy; the
 // count-space kinds read it once to count it and build from the counts.
 [[nodiscard]] std::unique_ptr<Engine> make_engine(
@@ -219,8 +227,8 @@ struct SimEngineConfig {
 // simulated configuration — while interactions()/omissions() count
 // physical events. kind "native" drives the step-wise Simulator facade
 // (per-agent, event recording off); "batch" the open-universe count-space
-// engine (SimBatchSystem), which is how SKnO/SID/naming reach n = 10^6;
-// "auto" starts on whichever representation the initial dispersion favors
+// face (SimBatchSystem) alone, which is how SKnO/SID/naming reach
+// n = 10^6; "auto" starts on whichever representation the initial dispersion favors
 // and may switch between count space and a direct agent-space driver at
 // slice boundaries, steered by a RegimeMonitor (engine/batch/regime.hpp)
 // with hysteresis — the contract is that auto is never materially slower

@@ -117,16 +117,6 @@ void SimBatchSystem::set_metrics(obs::MetricRegistry* reg) {
   if (omit_) omit_->set_metrics(reg);
 }
 
-void SimBatchSystem::set_omission_process(const AdversaryParams& params) {
-  if (steps_ != 0)
-    throw std::invalid_argument(
-        "SimBatchSystem: attach the omission process before the run starts");
-  // max_burst is honored as-is, exactly as on BatchSystem: advance()
-  // samples the within-burst Markov chain, sharing the burst counter with
-  // step()'s should_omit.
-  lend_omission_process(own_omit_.emplace(params));
-}
-
 void SimBatchSystem::lend_omission_process(OmissionProcess& process) {
   if (!is_omissive(rules_->model()))
     throw std::invalid_argument(

@@ -253,16 +253,17 @@ class SimBatchSystem {
                  std::optional<std::size_t> outcome_cache_capacity = {},
                  std::size_t start_step = 0);
 
-  // The system may hold a pointer to its own omission process.
+  // A copy would release wrapper ids the other still holds in the shared
+  // rule source.
   SimBatchSystem(const SimBatchSystem&) = delete;
   SimBatchSystem& operator=(const SimBatchSystem&) = delete;
 
-  // Attach an omission process (Def. 1–2); the source's model must be
-  // omissive. Must be called before the run starts.
-  void set_omission_process(const AdversaryParams& params);
-  // Run under a process the caller owns and keeps alive (the auto
-  // engine's, carried across representation switches with its burst and
-  // budget state). Same model requirement; no start-of-run restriction.
+  // Run under an omission process (Def. 1–2) the caller owns and keeps
+  // alive — the engine's, carried across representation switches with its
+  // burst and budget state. The source's model must be omissive. max_burst
+  // is honored as-is, exactly as on BatchSystem: advance() samples the
+  // within-burst Markov chain, sharing the burst counter with step()'s
+  // should_omit.
   void lend_omission_process(OmissionProcess& process);
 
   // Cover at most `budget` uniform-scheduler interactions: leap the
@@ -400,8 +401,7 @@ class SimBatchSystem {
   mutable bool projected_valid_ = true;
   std::size_t steps_ = 0;
   RunStats stats_;
-  std::optional<OmissionProcess> own_omit_;  // set_omission_process
-  OmissionProcess* omit_ = nullptr;         // own_omit_ or a lent process
+  OmissionProcess* omit_ = nullptr;  // lent; null without an adversary
   InteractionClass omit_class_ = InteractionClass::OmitBoth;
   bool weights_valid_ = false;  // general mode
   std::uint64_t w_real_ = 0;    // general mode

@@ -391,6 +391,23 @@ std::vector<ScenarioSpec> ScenarioGrid::expand() const {
   return out;
 }
 
+namespace {
+
+// Reject before any replica runs what run_replica would reject as a typo:
+// n < 4, and a workload name unknown to the registry it would resolve —
+// two-way, unless the point is a direct one-way run.
+void check_point_names(const ScenarioGrid& g) {
+  for (const ScenarioSpec& spec : g.expand()) {
+    const Model model = resolve_model(spec);
+    check_workload_name(spec.workload, spec.n,
+                        spec.sim.empty() && is_one_way(model)
+                            ? std::optional<Model>(model)
+                            : std::nullopt);
+  }
+}
+
+}  // namespace
+
 ScenarioGrid parse_grid(const std::string& text) {
   if (text.empty()) throw std::invalid_argument("parse_grid: empty grid");
   ScenarioGrid g;
@@ -402,7 +419,10 @@ ScenarioGrid parse_grid(const std::string& text) {
     if (w.empty())
       throw std::invalid_argument("parse_grid: empty workload name in '" +
                                   head + "'");
-  if (at == std::string::npos) return g;
+  if (at == std::string::npos) {
+    check_point_names(g);
+    return g;
+  }
 
   // Top-level ':' split with continuation: a segment that does not start a
   // known key re-joins the previous field (adversary and simulator specs
@@ -472,6 +492,7 @@ ScenarioGrid parse_grid(const std::string& text) {
         throw std::invalid_argument("parse_grid: verify must be 0 or 1");
     }
   }
+  check_point_names(g);
   return g;
 }
 
@@ -543,9 +564,12 @@ namespace {
   if (one_way_direct && spec.custom)
     throw std::invalid_argument(
         "custom workloads are two-way; pick a two-way model");
+  // Two statements, not a conditional: `*spec.custom` is const, so a
+  // conditional would copy the registry workload (per-agent vector and
+  // all) instead of moving it.
   std::optional<Workload> workload;
-  if (!one_way_direct)
-    workload = spec.custom ? *spec.custom : find_workload(spec.workload, spec.n);
+  if (spec.custom) workload = *spec.custom;
+  else if (!one_way_direct) workload = find_workload(spec.workload, spec.n);
   if (!spec.sim.empty() && spec.engine == "native") {
     if (resume != nullptr)
       throw std::invalid_argument(

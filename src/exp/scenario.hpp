@@ -135,7 +135,9 @@ struct ScenarioGrid {
 };
 
 // Parse the compact grid string (grammar above). Throws
-// std::invalid_argument with a pointed message on malformed input.
+// std::invalid_argument with a pointed message on malformed input,
+// including a point with n < 4 or a workload name the registry does not
+// know (checked by name; no protocol is built).
 [[nodiscard]] ScenarioGrid parse_grid(const std::string& text);
 
 // The model a spec actually runs under before any adversary lift: the

@@ -244,6 +244,34 @@ void require_n(std::size_t n, const char* suite) {
     throw std::invalid_argument(std::string(suite) + ": n >= 4 required");
 }
 
+// Name resolution without building: the first suite entry whose sized
+// name starts with `name`.
+const Entry<Workload>& standard_entry(const std::string& name, std::size_t n) {
+  require_n(n, "standard_workloads");
+  for (const Entry<Workload>& e : kStandard) {
+    if (sized_name(e.stem, n).rfind(name, 0) == 0) return e;
+  }
+  throw std::invalid_argument("unknown workload '" + name + "'");
+}
+
+const Entry<OneWayWorkload>& one_way_entry(const std::string& name,
+                                           std::size_t n, Model model) {
+  require_n(n, "one_way_workloads");
+  for (const OneWayEntry& e : kOneWay) {
+    // Prefix match; "exact-majority" resolves to "exact-majority-1way".
+    const std::string full = sized_name(e.entry.stem, n);
+    if (full.rfind(name, 0) == 0) {
+      if (model == Model::IO && !e.io)
+        throw std::invalid_argument("workload '" + full +
+                                    "' needs g != id, IO forbids it");
+      return e.entry;
+    }
+  }
+  throw std::invalid_argument("unknown one-way workload '" + name +
+                              "' (try: or, max, leader, exact-majority, "
+                              "beacon-or)");
+}
+
 template <class W>
 const std::vector<State>& per_agent_initial_of(const W& w,
                                                const std::string& what) {
@@ -286,29 +314,18 @@ std::vector<OneWayWorkload> one_way_workloads(std::size_t n) {
 }
 
 Workload find_workload(const std::string& name, std::size_t n) {
-  require_n(n, "standard_workloads");
-  for (const Entry<Workload>& e : kStandard) {
-    if (sized_name(e.stem, n).rfind(name, 0) == 0) return build(e, n);
-  }
-  throw std::invalid_argument("unknown workload '" + name + "'");
+  return build(standard_entry(name, n), n);
 }
 
 OneWayWorkload find_one_way_workload(const std::string& name, std::size_t n,
                                      Model model) {
-  require_n(n, "one_way_workloads");
-  for (const OneWayEntry& e : kOneWay) {
-    // Prefix match; "exact-majority" resolves to "exact-majority-1way".
-    const std::string full = sized_name(e.entry.stem, n);
-    if (full.rfind(name, 0) == 0) {
-      if (model == Model::IO && !e.io)
-        throw std::invalid_argument("workload '" + full +
-                                    "' needs g != id, IO forbids it");
-      return build(e.entry, n);
-    }
-  }
-  throw std::invalid_argument("unknown one-way workload '" + name +
-                              "' (try: or, max, leader, exact-majority, "
-                              "beacon-or)");
+  return build(one_way_entry(name, n, model), n);
+}
+
+void check_workload_name(const std::string& name, std::size_t n,
+                         std::optional<Model> one_way_model) {
+  if (one_way_model) (void)one_way_entry(name, n, *one_way_model);
+  else (void)standard_entry(name, n);
 }
 
 const std::vector<State>& per_agent_initial(const Workload& w,

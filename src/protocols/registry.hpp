@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,12 @@ struct OneWayWorkload {
 // majority). Throws if the workload needs g != id under IO.
 [[nodiscard]] OneWayWorkload find_one_way_workload(const std::string& name,
                                                    std::size_t n, Model model);
+
+// The name resolution of find_workload (one_way_model unset) or
+// find_one_way_workload (set) alone: throws what they would throw for
+// that name and n, and builds no protocol.
+void check_workload_name(const std::string& name, std::size_t n,
+                         std::optional<Model> one_way_model);
 
 // The per-agent initial vector, for the consumers that need agent
 // identities (engine=native, every simulator). Throws

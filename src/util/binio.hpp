@@ -16,6 +16,9 @@
 // crash, so partial writes from preempted sweeps fail loud and early.
 #pragma once
 
+#include <unistd.h>
+
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstdint>
@@ -136,9 +139,14 @@ class Reader {
 // Write `data` to `path` atomically: write a sibling temp file, flush, then
 // rename over the destination. A reader (or a sweep resumed after SIGKILL)
 // therefore sees either the previous complete file or the new complete file,
-// never a truncated mix. Returns false (and leaves no temp debris) on error.
+// never a truncated mix. Each call writes its own temp file (pid plus a
+// per-process counter), so concurrent writers of one path never rename
+// each other's half-written data. Returns false (and leaves no temp debris)
+// on error.
 inline bool atomic_write_file(const std::string& path, std::string_view data) {
-  const std::string tmp = path + ".tmp";
+  static std::atomic<std::uint64_t> calls{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(calls.fetch_add(1));
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) return false;

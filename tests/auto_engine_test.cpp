@@ -454,5 +454,54 @@ TEST(AutoEngine, ClosedUniverseAutoArbitratesLeapAndRound) {
   EXPECT_NE(std::find(kinds.begin(), kinds.end(), "auto"), kinds.end());
 }
 
+TEST(AutoEngine, BatchIsTheCountFacePinned) {
+  // beacon-or on IT is fully dense, so auto runs it on the round face
+  // (round_bign_test); engine=batch is the same engine held on the leap
+  // face. Pinned engines report "batch" throughout, build no monitor —
+  // hence no auto.* gauge — and attach no registry of their own.
+  const std::size_t n = 1'000'000;
+  const OneWayWorkload w = find_one_way_workload("beacon-or", n, Model::IT);
+  EngineConfig config;
+  config.model = Model::IT;
+  auto adaptive =
+      make_engine_from_counts("auto", w.protocol, w.initial_counts, config);
+  auto pinned =
+      make_engine_from_counts("batch", w.protocol, w.initial_counts, config);
+  EXPECT_EQ(pinned->metrics(), nullptr);
+  pinned->enable_metrics();
+  UniformScheduler sched(n);
+  Rng rng_a(5101);
+  Rng rng_p(5102);
+  for (int slice = 0; slice < 8; ++slice) {
+    (void)run_engine_steps(*adaptive, sched, rng_a, 1u << 16);
+    (void)run_engine_steps(*pinned, sched, rng_p, 1u << 16);
+    EXPECT_EQ(pinned->kind(), "batch");
+    EXPECT_EQ(pinned->active_kind(), "batch");
+  }
+  EXPECT_EQ(adaptive->active_kind(), "round");
+  pinned->sync_metrics();
+  for (const auto& [name, gauge] : pinned->metrics()->gauges())
+    EXPECT_NE(name.rfind("auto.", 0), 0u) << name;
+
+  // Open universe: SID starts auto in agent space; batch stays in count
+  // space with the same discipline.
+  const Workload sw = standard_workloads(8)[3];
+  auto sim_auto =
+      make_sim_engine("auto", sw.protocol, sw.initial, spec_config("sid"));
+  auto sim_pinned =
+      make_sim_engine("batch", sw.protocol, sw.initial, spec_config("sid"));
+  EXPECT_EQ(sim_auto->active_kind(), "agent");
+  EXPECT_EQ(sim_pinned->metrics(), nullptr);
+  sim_pinned->enable_metrics();
+  UniformScheduler sim_sched(8);
+  Rng rng_s(5103);
+  (void)run_engine_steps(*sim_pinned, sim_sched, rng_s, 1u << 12);
+  EXPECT_EQ(sim_pinned->kind(), "batch");
+  EXPECT_EQ(sim_pinned->active_kind(), "batch");
+  sim_pinned->sync_metrics();
+  for (const auto& [name, gauge] : sim_pinned->metrics()->gauges())
+    EXPECT_NE(name.rfind("auto.", 0), 0u) << name;
+}
+
 }  // namespace
 }  // namespace ppfs

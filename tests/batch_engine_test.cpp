@@ -196,5 +196,87 @@ TEST(EngineDispatch, StatsFiresPlusNoopsEqualInteractions) {
   }
 }
 
+// engine=batch is the count face pinned: with and without a budget
+// adversary, its checkpoint is byte for byte that of the raw system driven
+// by the same Rng and advance() budgets, after the same number of draws —
+// so pinned runs checkpoint and resume exactly as the system does. The
+// 100'000 budget exceeds every internal slice an adaptive engine would cut.
+const std::size_t kPinnedBudgets[] = {1, 7, 1000, 4096, 100'000, 3};
+
+template <class System>
+std::string drive_raw(System& sys, std::uint64_t seed) {
+  Rng rng(seed);
+  for (const std::size_t budget : kPinnedBudgets) {
+    std::size_t covered = 0;
+    while (covered < budget)
+      covered += sys.advance(budget - covered, rng).interactions;
+  }
+  bin::Writer w;
+  sys.save_state(w);
+  w.var(rng.draw_count());
+  return w.data();
+}
+
+std::string drive_engine(Engine& engine, std::uint64_t seed) {
+  Rng rng(seed);
+  UniformScheduler sched(engine.size());
+  for (const std::size_t budget : kPinnedBudgets)
+    EXPECT_EQ(engine.advance(budget, sched, rng), budget);
+  bin::Writer w;
+  engine.save_state(w);
+  w.var(rng.draw_count());
+  return w.data();
+}
+
+TEST(EngineDispatch, PinnedBatchSavesTheRawBatchSystemBytes) {
+  // n = 1000 is far from converged after the budgets: a silent
+  // configuration leaps draw-free and would hide a re-drawn leap.
+  const Workload w = find_workload("exact-majority", 1000);
+  for (const std::string spec : {"none", "budget:40"}) {
+    const AdversaryParams adv = parse_adversary_spec(spec);
+    EngineConfig config;
+    if (adv.rate > 0.0) config.adversary = adv;
+    auto engine = make_engine("batch", w.protocol, w.initial, config);
+    EXPECT_EQ(engine->kind(), "batch");
+    const Model model = config.adversary ? omissive_closure(Model::TW)
+                                         : Model::TW;
+    BatchSystem raw(RuleMatrix::compile(w.protocol, model), w.initial_counts);
+    if (config.adversary) raw.set_omission_process(adv);
+    EXPECT_EQ(drive_engine(*engine, 6101), drive_raw(raw, 6101)) << spec;
+    EXPECT_EQ(engine->omissions() > 0, config.adversary.has_value()) << spec;
+  }
+}
+
+TEST(EngineDispatch, PinnedSimBatchSavesTheRawSimBatchSystemBytes) {
+  // SKnO (the sim-count path) fires on almost every delivery. The naive
+  // wrapper over leader election leaps: its last two leaders meet once per
+  // ~n^2/2 = 45'000 deliveries, so a slice boundary (clamp(16n, 2^12,
+  // 2^16) = 4'800 under auto) would cut a leap and re-draw it.
+  const std::size_t n = 300;
+  const Workload w = find_workload("leader", n);
+  const std::pair<const char*, Model> sims[] = {{"skno:o=2", Model::I3},
+                                                {"naive", Model::T1}};
+  for (const auto& [sim_spec, model] : sims) {
+    const SimSpec sim = parse_sim_spec(sim_spec);
+    for (const std::string spec : {"none", "budget:40:0.05"}) {
+      const AdversaryParams adv = parse_adversary_spec(spec);
+      SimEngineConfig config;
+      if (adv.rate > 0.0) config.adversary = adv;
+      auto engine = make_sim_engine(
+          "batch", make_sim_rule_source(sim, model, w.protocol, n), w.initial,
+          config);
+      EXPECT_EQ(engine->kind(), "batch");
+      std::optional<OmissionProcess> omit;
+      SimBatchSystem raw(make_sim_rule_source(sim, model, w.protocol, n),
+                         w.initial);
+      if (config.adversary) raw.lend_omission_process(omit.emplace(adv));
+      EXPECT_EQ(drive_engine(*engine, 6201), drive_raw(raw, 6201))
+          << sim_spec << " " << spec;
+      EXPECT_EQ(engine->omissions() > 0, config.adversary.has_value())
+          << sim_spec << " " << spec;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ppfs

@@ -76,6 +76,25 @@ TEST(ParseGrid, RejectsMalformedInput) {
   EXPECT_THROW((void)parse_grid("or@sim=zap"), std::invalid_argument);
 }
 
+TEST(ParseGrid, RejectsUnknownWorkloadsAndSmallPopulations) {
+  // Caught by name at parse time, against the registry the replica would
+  // resolve, instead of failing one replica per point x trial.
+  EXPECT_THROW((void)parse_grid("foo@n=10"), std::invalid_argument);
+  EXPECT_THROW((void)parse_grid("foo"), std::invalid_argument);
+  EXPECT_THROW((void)parse_grid("or,foo@n=10"), std::invalid_argument);
+  EXPECT_THROW((void)parse_grid("or@n=3"), std::invalid_argument);
+  EXPECT_THROW((void)parse_grid("or@n=10,3"), std::invalid_argument);
+  // Direct one-way runs resolve the one-way registry (max, beacon-or), and
+  // IO still forbids g != id; every other point the two-way registry.
+  EXPECT_NO_THROW((void)parse_grid("max,beacon-or@n=10:model=IT"));
+  EXPECT_THROW((void)parse_grid("beacon-or@n=10:model=IO"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_grid("max@n=10"), std::invalid_argument);
+  EXPECT_THROW((void)parse_grid("max@n=10:model=IT:sim=skno:o=1"),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)parse_grid("pairing@n=10:model=I3:sim=skno:o=1"));
+}
+
 TEST(ScenarioSpec, ToStringRoundTripsThroughParser) {
   ScenarioSpec spec;
   spec.workload = "exact-majority";

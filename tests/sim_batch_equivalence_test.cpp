@@ -211,8 +211,9 @@ TEST(SimBatchEquivalence, DeterministicSeedRegression) {
   std::vector<State> init(n, st.consumer);
   init[0] = init[1] = st.producer;
   auto rules = std::make_shared<SknoRuleSource>(p, Model::I3, 1);
+  OmissionProcess omit(budget_adv(3, 0.25));
   SimBatchSystem sys(rules, init);
-  sys.set_omission_process(budget_adv(3, 0.25));
+  sys.lend_omission_process(omit);
   Rng rng(20260730);
   for (int i = 0; i < 600; ++i) (void)sys.step(rng);
   EXPECT_EQ(sys.steps(), 600u);

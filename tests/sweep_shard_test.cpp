@@ -5,16 +5,21 @@
 //   * checkpoints resume a killed sweep — Tier A (completed replicas) and
 //     Tier B (in-flight engine snapshot) — to byte-identical output;
 //   * the binary codecs (ReplicaResult, partials, checkpoints) round-trip
-//     and refuse corrupt or mismatched input.
+//     and refuse corrupt or mismatched input;
+//   * bin::atomic_write_file lands whole files under concurrent writers.
 #include "exp/sweep_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace ppfs::exp {
@@ -297,6 +302,36 @@ TEST(SweepShard, CheckpointFileIsMaintainedDuringTheDrain) {
   (void)run_sweep_shard(prov_for(0, 1), opt);
   EXPECT_EQ(calls, 20u);
   std::remove(ck_file);
+}
+
+TEST(AtomicWriteFile, ConcurrentWritersNeitherTearNorLeaveTempFiles) {
+  // Two writers of one path: each call must land a whole payload (the
+  // file only ever holds one of the two) and clean up its own temp file,
+  // however the writes interleave.
+  const std::string path = "sweep_shard_test_atomic.bin";
+  const std::string payloads[2] = {std::string(1u << 18, 'a'),
+                                   std::string((1u << 18) + 7, 'b')};
+  std::atomic<std::size_t> failed_writes{0};
+  std::atomic<std::size_t> torn_reads{0};
+  const auto writer = [&](const std::string& mine) {
+    for (int i = 0; i < 100; ++i) {
+      if (!bin::atomic_write_file(path, mine)) ++failed_writes;
+      const std::string seen = bin::read_file(path);
+      if (seen != payloads[0] && seen != payloads[1]) ++torn_reads;
+    }
+  };
+  std::thread a(writer, std::cref(payloads[0]));
+  std::thread b(writer, std::cref(payloads[1]));
+  a.join();
+  b.join();
+  EXPECT_EQ(failed_writes.load(), 0u);
+  EXPECT_EQ(torn_reads.load(), 0u);
+  std::size_t debris = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("."))
+    if (entry.path().filename().string().rfind(path + ".tmp", 0) == 0)
+      ++debris;
+  EXPECT_EQ(debris, 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace
