@@ -121,26 +121,6 @@ int main(int argc, char** argv) {
     json.add(c.label + " [batch]", c.n, model_name(c.model), batch_ips);
   }
 
-  // Dense acceptance (ROADMAP's speedup:dense-*): the round face behind
-  // engine=auto vs the leap-only batch engine on the dense-omission cell.
-  // Nearly every delivery fires here, so leaping covers one interaction
-  // per draw while the round face processes a whole collision-free prefix
-  // (E[len] ~ sqrt(pi n)/2) per O(q^2) batch. CI floor: >= 2.0.
-  {
-    const Case dense{"I2 beacon-or + uo:0.01 (dense)", Model::I2, "beacon-or",
-                     "uo:0.01", 1'000'000, 0, 0};
-    const std::size_t steps = 20'000'000;
-    const double batch_ips = measure("batch", dense, steps);
-    const double auto_ips = measure("auto", dense, steps);
-    std::printf("%-36s %14.3e %14.3e %9.2fx  (floor 2.0)\n",
-                "dense beacon-or: auto(round)/batch", batch_ips, auto_ips,
-                auto_ips / batch_ips);
-    json.add("dense-beacon-uo [batch]", dense.n, "I2", batch_ips);
-    json.add("dense-beacon-uo [auto]", dense.n, "I2", auto_ips);
-    json.add_ratio("speedup:dense-beacon-uo", dense.n, "I2",
-                   auto_ips / batch_ips);
-  }
-
   // Headline: run the IO cancellation majority to convergence at n = 10^6
   // under a Budget(1000) adversary — the acceptance-criterion workload.
   {

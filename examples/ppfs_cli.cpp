@@ -281,6 +281,16 @@ int run_sweep(const SweepCliOptions& cli) {
     grid.traj_every = *traj_every;
   }
 
+  // Native simulator replicas run the step-wise facade, which records no
+  // timeline and no trajectory: refuse those outputs instead of writing
+  // empty ones.
+  if (!cli.metrics_out.empty() || !cli.traj_out.empty())
+    for (const exp::ScenarioSpec& spec : grid.expand())
+      if (!spec.sim.empty() && spec.engine == "native")
+        return usage(("--metrics-out/--traj-out record nothing on the native "
+                      "simulator point '" + spec.point_key() + "'")
+                         .c_str());
+
   const bool sharded = cli.shard_count > 1;
   if (sharded && cli.out_file.empty())
     return usage("--shard=i/k writes a binary partial; name it with "
@@ -306,6 +316,8 @@ int run_sweep(const SweepCliOptions& cli) {
   if (!cli.resume_file.empty()) {
     resume_ck = exp::decode_checkpoint(bin::read_file(cli.resume_file));
     sopt.resume = &resume_ck;
+    // The killed run's half-written temp checkpoints are debris now.
+    bin::remove_dead_writer_temps(cli.resume_file);
     // Keep checkpointing into the file we resumed from unless redirected.
     if (sopt.checkpoint_file.empty()) sopt.checkpoint_file = cli.resume_file;
   }

@@ -367,13 +367,10 @@ class DynamicRuleSource {
   }
 
   // Capacity 0 disables the cache (the engine default enables it; the
-  // equivalence suites run both ways — the cache must be invisible in
+  // conformance suite runs both ways — the cache must be invisible in
   // distribution).
   void set_outcome_cache_capacity(std::size_t capacity) {
     cache_.set_capacity(capacity);
-  }
-  [[nodiscard]] const OutcomeCache::Stats& outcome_cache_stats() const noexcept {
-    return cache_.stats();
   }
 
   // --- observability --------------------------------------------------------

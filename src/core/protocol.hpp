@@ -69,9 +69,6 @@ class TableProtocol final : public Protocol {
     return initial_;
   }
 
-  // Raw table access for the tight native-engine loop.
-  [[nodiscard]] const StatePair* raw_table() const noexcept { return table_.data(); }
-
  private:
   std::string name_;
   std::vector<std::string> names_;

@@ -94,7 +94,7 @@ class BatchSystem {
 
   // Exact single interaction of the count chain (the hypergeometric
   // reference step), consulting the omission process per delivery — the
-  // step-wise reference the equivalence tests compare against. Honors
+  // step-wise reference the conformance suite compares against. Honors
   // max_burst (it delegates to OmissionProcess::should_omit).
   BatchDelta step(Rng& rng);
 

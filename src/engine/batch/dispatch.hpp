@@ -102,15 +102,12 @@ class Engine {
   // restoring engine must be freshly constructed with the IDENTICAL
   // make_engine*/make_sim_engine arguments — only mutable run state
   // round-trips; rules, protocol and adversary parameters come back from
-  // the construction path. checkpoint_exact() additionally guarantees the
+  // the construction path. Every checkpointable engine is exact: the
   // restored replica's FUTURE trajectory (and therefore every downstream
-  // aggregate) is byte-identical to the uninterrupted run. Every engine
-  // that is checkpointable is exact: the auto simulator engine arbitrates
-  // only on state its checkpoint carries (never on cache contents).
+  // aggregate) is byte-identical to the uninterrupted run — the auto
+  // simulator engine arbitrates only on state its checkpoint carries
+  // (never on cache contents).
   [[nodiscard]] virtual bool checkpointable() const { return false; }
-  [[nodiscard]] virtual bool checkpoint_exact() const {
-    return checkpointable();
-  }
   // Both throw std::logic_error on a non-checkpointable engine.
   virtual void save_state(bin::Writer& w) const;
   virtual void restore_state(bin::Reader& r);
@@ -210,14 +207,14 @@ struct SimEngineConfig {
   // Batch engines only: bound on the rule source's (class, starter,
   // reactor) -> successors LRU cache. Default
   // SimBatchSystem::kDefaultOutcomeCacheCapacity; 0 disables (the
-  // equivalence tests run both ways — the cache is invisible in
+  // conformance suite runs both ways — the cache is invisible in
   // distribution).
   std::optional<std::size_t> outcome_cache_capacity{};
   // engine=auto only, test/diagnostic hook: force one representation
   // switch (whichever direction) at the first internal slice boundary at
   // or after this many interactions, bypassing the regime monitor. The
-  // mid-run-switch equivalence suite uses it to pin the bridge
-  // distribution-exact at a deterministic point.
+  // conformance suite uses it to pin the bridge distribution-exact at a
+  // deterministic point.
   std::optional<std::size_t> auto_force_switch_at{};
 };
 

@@ -348,7 +348,7 @@ inline std::uint64_t binomial_inversion(std::uint64_t n, double p, Rng& rng) {
 // complement (m -> pool - m, result = succ - k) and exchanging the roles
 // of succ and m — until the drawn side is smallest; when that is <= 64
 // the draw runs as exact integer without-replacement trials (so the
-// small-n equivalence suites exercise a fully exact path), otherwise the
+// small-n conformance suite exercises a fully exact path), otherwise the
 // lgamma inversion above.
 inline std::uint64_t sample_hypergeometric(std::uint64_t pool,
                                            std::uint64_t succ, std::uint64_t m,

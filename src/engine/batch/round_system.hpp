@@ -57,9 +57,9 @@
 // Amortized cost per interaction is O(q^2 / l) — sub-constant once rounds
 // are long (l ~ sqrt(n) at full density), which is what pushes standard
 // workloads to n = 10^9 — plus the omission count's share: O(1/l) on its
-// binomial and capped-round paths, but O(1) per interaction on its walk. Distribution-exactness is pinned by chi-square
-// equivalence against the sequential batch engine with and without
-// adversaries (tests/round_equivalence_test.cpp).
+// binomial and capped-round paths, but O(1) per interaction on its walk.
+// Distribution-exactness is pinned by chi-square against the native
+// engine with and without adversaries (tests/conformance_test.cpp).
 #pragma once
 
 #include <cstdint>

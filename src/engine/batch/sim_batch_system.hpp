@@ -225,7 +225,7 @@ class SimBatchSystem {
   // MB. The constructor's default scales with the population (hot pairs
   // scale with live states) so small test populations don't pay a
   // megabyte-scale allocation per engine. Pass an explicit capacity to
-  // override; 0 runs uncached (the equivalence suites do both).
+  // override; 0 runs uncached (the conformance suite does both).
   static constexpr std::size_t kDefaultOutcomeCacheCapacity = 1u << 20;
 
   // `sim_initial` holds simulated-protocol states, one per agent; the rule

@@ -178,52 +178,15 @@ void harvest_sim_extras(const Simulator& sim, ReplicaResult& out) {
 }
 
 // Engine-backed replica: direct runs (two-way or one-way, any engine)
-// and count-space simulator runs. `workload` is the resolved two-way
-// workload, null exactly for one-way direct runs (which resolve the
-// one-way registry here). Direct batch and auto engines are built from
-// the workload's counts, so they run at every n.
-// `resume`/`on_snapshot`/`snapshot_every` carry the sweep service's
-// in-flight checkpoint protocol (see scenario.hpp); run_replica passes
-// nulls and zero.
+// and count-space simulator runs, on the engine make_replica_engine
+// builds. `resume`/`on_snapshot`/`snapshot_every` carry the sweep
+// service's in-flight checkpoint protocol (see scenario.hpp); run_replica
+// passes nulls and zero.
 [[nodiscard]] ReplicaResult run_engine_replica(
     const ScenarioSpec& spec, const Workload* workload, Rng rng,
     RunStats* stats_out, const ReplicaSnapshot* resume,
     const SnapshotHook& on_snapshot, std::size_t snapshot_every) {
-  const Model model = resolve_model(spec);
-  const AdversaryParams adv = parse_adversary_spec(spec.adversary);
-
-  std::unique_ptr<Engine> engine;
-  CountsProbe probe;
-  if (!spec.sim.empty()) {
-    SimEngineConfig config;
-    config.spec = parse_sim_spec(spec.sim);
-    config.model = spec.model;
-    if (adv.rate > 0.0) config.adversary = adv;
-    engine = make_sim_engine(spec.engine, workload->protocol,
-                             per_agent_initial(*workload, "sim=" + spec.sim),
-                             config);
-    probe = workload_counts_probe(*workload);
-  } else if (workload == nullptr) {
-    EngineConfig config;
-    config.model = model;
-    if (adv.rate > 0.0) config.adversary = adv;
-    const OneWayWorkload w =
-        find_one_way_workload(spec.workload, spec.n, model);
-    engine = make_workload_engine(spec.engine, w, config);
-    auto conv = w.converged;
-    const int expect = w.expected_output;
-    probe = [conv, expect](const std::vector<std::size_t>& counts,
-                           const Protocol& p) {
-      if (conv) return conv(counts);
-      return counts_consensus_output(counts, p) == expect;
-    };
-  } else {
-    EngineConfig config;
-    config.model = model;
-    if (adv.rate > 0.0) config.adversary = adv;
-    engine = make_workload_engine(spec.engine, *workload, config);
-    probe = workload_counts_probe(*workload);
-  }
+  auto [engine, probe] = make_replica_engine(spec, workload);
 
   UniformScheduler sched(spec.n);
   ReplicaResult out;
@@ -242,8 +205,7 @@ void harvest_sim_extras(const Simulator& sim, ReplicaResult& out) {
   // not part of the engine snapshot, so replicas that carry them restart
   // from scratch instead of resuming mid-run.
   const bool capture_safe = spec.fixed_steps == 0 && spec.metrics_every == 0 &&
-                            spec.traj_every == 0 &&
-                            engine->checkpoint_exact();
+                            spec.traj_every == 0 && engine->checkpointable();
   if (resume != nullptr) {
     if (!capture_safe)
       throw std::invalid_argument(
@@ -541,6 +503,36 @@ RunOptions resolve_run_options(const ScenarioSpec& spec) {
   if (spec.max_steps > 0) opt.max_steps = spec.max_steps;
   if (spec.check_every > 0) opt.check_every = spec.check_every;
   return opt;
+}
+
+ReplicaEngine make_replica_engine(const ScenarioSpec& spec,
+                                  const Workload* workload,
+                                  SimEngineConfig sim_tuning) {
+  // Every factory drops a rate-0 adversary ("none") itself.
+  const AdversaryParams adv = parse_adversary_spec(spec.adversary);
+  if (!spec.sim.empty()) {
+    sim_tuning.spec = parse_sim_spec(spec.sim);
+    sim_tuning.model = spec.model;
+    sim_tuning.adversary = adv;
+    return {make_sim_engine(spec.engine, workload->protocol,
+                            per_agent_initial(*workload, "sim=" + spec.sim),
+                            sim_tuning),
+            workload_counts_probe(*workload)};
+  }
+  const EngineConfig config{resolve_model(spec), {}, adv};
+  if (workload != nullptr)
+    return {make_workload_engine(spec.engine, *workload, config),
+            workload_counts_probe(*workload)};
+  const OneWayWorkload w =
+      find_one_way_workload(spec.workload, spec.n, config.model);
+  auto conv = w.converged;
+  const int expect = w.expected_output;
+  return {make_workload_engine(spec.engine, w, config),
+          [conv, expect](const std::vector<std::size_t>& counts,
+                         const Protocol& p) {
+            if (conv) return conv(counts);
+            return counts_consensus_output(counts, p) == expect;
+          }};
 }
 
 namespace {

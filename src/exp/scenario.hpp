@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "core/models.hpp"
+#include "engine/batch/dispatch.hpp"
 #include "engine/runner.hpp"
 #include "exp/aggregate.hpp"
 #include "protocols/registry.hpp"
@@ -149,6 +150,22 @@ struct ScenarioGrid {
 // ones, simulator runs fire-sized ones.
 [[nodiscard]] RunOptions resolve_run_options(const ScenarioSpec& spec);
 
+// The engine a replica of `spec` runs on and the probe it converges under:
+// the one spec -> engine mapping behind every engine-backed replica. The
+// conformance suite builds its native, batch and auto runs through it.
+// `workload` is the resolved two-way workload, null exactly for one-way
+// direct runs (resolved from the one-way registry here). `sim_tuning`
+// passes simulator-engine settings no grid field carries (outcome cache
+// capacity, a forced auto switch); its spec, model and adversary come
+// from `spec`.
+struct ReplicaEngine {
+  std::unique_ptr<Engine> engine;
+  CountsProbe probe;
+};
+[[nodiscard]] ReplicaEngine make_replica_engine(
+    const ScenarioSpec& spec, const Workload* workload,
+    SimEngineConfig sim_tuning = {});
+
 // Execute one replica of `spec` (trial index = RNG stream id). Throws on
 // invalid specs; the runner catches and records errors per replica. If
 // `stats_out` is non-null the replica's full RunStats are copied there
@@ -177,8 +194,8 @@ using SnapshotHook = std::function<void(const ReplicaSnapshot&)>;
 // first probe-slice boundary after each cadence interval — but ONLY when
 // the capture is exactness-safe: an engine-backed probe-loop replica
 // (no native sim facade, no fixed_steps, probe=workload) with
-// metrics_every == 0 and traj_every == 0 whose engine reports
-// checkpoint_exact(). Ineligible replicas simply run without capturing.
+// metrics_every == 0 and traj_every == 0 whose engine is
+// checkpointable(). Ineligible replicas simply run without capturing.
 // A non-null `resume` continues from a previously captured snapshot (the
 // spec/trial must match the one it was captured from; restoring into an
 // ineligible replica throws).

@@ -52,7 +52,6 @@ class ScriptedScheduler final : public Scheduler {
 
   [[nodiscard]] Interaction next(Rng& rng, std::size_t step) override;
 
-  [[nodiscard]] std::size_t script_length() const noexcept { return script_.size(); }
   [[nodiscard]] bool exhausted() const noexcept { return pos_ >= script_.size(); }
 
  private:

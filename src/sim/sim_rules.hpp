@@ -109,11 +109,6 @@ class SidRuleSource : public DynamicRuleSource {
     react_cache_.set_capacity(capacity);
   }
 
-  // Diagnostics for the (starter id, reactor id) reactor-half cache.
-  [[nodiscard]] const OutcomeCache::Stats& react_cache_stats() const noexcept {
-    return react_cache_.stats();
-  }
-
   // --- agent-space bridge (engine=auto) ------------------------------------
   // Decode a live wrapper id into its per-agent record / intern a record
   // back: the auto engine's representation switch, kept here so the byte
@@ -264,9 +259,6 @@ class SknoRuleSource final : public DynamicRuleSource {
   }
   [[nodiscard]] bool starter_silent(State s) override;
 
-  [[nodiscard]] const SknoCore::Stats& core_stats() const noexcept {
-    return core_.stats();
-  }
   [[nodiscard]] std::size_t live_states() const noexcept {
     return universe_.live();
   }
@@ -287,15 +279,9 @@ class SknoRuleSource final : public DynamicRuleSource {
   // receive steps (run consumption, debt traffic) fall back to full
   // re-serialization. Off = always decode + SknoCore::step +
   // re-serialize — the reference path the encode/patch/decode fuzz suite
-  // compares against. NOTE: with patches on, core_stats() no longer sees
-  // the steps served from patches/caches (they bypass the core).
+  // compares against.
   void set_use_patches(bool on) noexcept { use_patches_ = on; }
   [[nodiscard]] bool use_patches() const noexcept { return use_patches_; }
-
-  // Diagnostics for the (token, reactor) receive cache.
-  [[nodiscard]] const OutcomeCache::Stats& receive_cache_stats() const noexcept {
-    return recv_cache_.stats();
-  }
 
   // --- agent-space bridge (engine=auto) ------------------------------------
   // The value core (model/omission bound/options for a sibling agent-space

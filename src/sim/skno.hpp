@@ -170,13 +170,6 @@ class SknoCore {
   [[nodiscard]] Model model() const noexcept { return model_; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
-  // True iff the agent transmits nothing as a starter (pending with an
-  // empty queue) — the one no-op shape of the Real class, which is what
-  // lets the count-space engine leap with a silent-population counter.
-  [[nodiscard]] static bool silent_starter(const Agent& a) noexcept {
-    return a.pending && a.sending.empty();
-  }
-
  private:
   friend struct SknoCoreTestPeer;  // reference run search (tests)
 

@@ -16,6 +16,7 @@
 // crash, so partial writes from preempted sweeps fail loud and early.
 #pragma once
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -23,6 +24,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -162,6 +164,26 @@ inline bool atomic_write_file(const std::string& path, std::string_view data) {
     return false;
   }
   return true;
+}
+
+// Remove the temp files atomic_write_file left next to `path` when its
+// writer was killed mid-write: `path.tmp.<pid>.<k>` whose pid names no
+// live process. A live writer's temp file is never touched.
+inline void remove_dead_writer_temps(const std::string& path) {
+  namespace fs = std::filesystem;
+  const fs::path target = fs::absolute(path);
+  const std::string prefix = target.filename().string() + ".tmp.";
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(target.parent_path(), ec)) {
+    const std::string name = entry.path().filename().string();
+    const std::size_t dot = name.rfind('.');
+    if (name.rfind(prefix, 0) != 0 || dot <= prefix.size()) continue;
+    const std::string pid = name.substr(prefix.size(), dot - prefix.size());
+    if (pid.size() > 9 || pid.find_first_not_of("0123456789") != pid.npos)
+      continue;
+    if (::kill(static_cast<pid_t>(std::stol(pid)), 0) != 0 && errno == ESRCH)
+      fs::remove(entry.path(), ec);
+  }
 }
 
 // Whole-file slurp; empty-string-on-missing is ambiguous, so failure throws.

@@ -1,20 +1,15 @@
-// engine=auto correctness: the adaptive engine (AutoSimEngine in
-// engine/batch/dispatch.cpp) must realize exactly the distribution of the
-// fixed engines it arbitrates between. The representation bridge moves the
-// wrapper-state multiset between count space and agent space with zero Rng
-// draws, so switching — whether steered by the RegimeMonitor or forced
-// mid-run through SimEngineConfig::auto_force_switch_at — must be invisible
-// in distribution over the simulated projection. Checked with two-sample
-// chi-square homogeneity against the never-switching batch engine, plus
-// unit tests of the RegimeMonitor's hysteresis/cooldown discipline.
+// engine=auto behaviour: the RegimeMonitor's hysteresis/cooldown
+// discipline, the omission process carried across switches, the
+// active-kind and switch gauges, and engine=batch as the count face
+// pinned. That auto — steered by the monitor or forced mid-run through
+// SimEngineConfig::auto_force_switch_at, in either direction — realizes
+// the fixed engines' law is checked by conformance_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <vector>
 
-#include "chi_square.hpp"
 #include "engine/batch/dispatch.hpp"
 #include "engine/batch/regime.hpp"
 #include "protocols/pairing.hpp"
@@ -24,9 +19,6 @@
 namespace ppfs {
 namespace {
 
-using ppfs::testing::chi_square_homogeneity;
-using ppfs::testing::chi_square_limit;
-using Counts = ppfs::testing::Counts;
 using Space = RegimeMonitor::Space;
 
 // ---------------------------------------------------------------------------
@@ -177,134 +169,12 @@ TEST(RegimeMonitor, NoteForcedAdoptsSpaceAndStartsCooldown) {
   EXPECT_EQ(m.observe({0.01, 0.0}), Space::Count);
 }
 
-// ---------------------------------------------------------------------------
-// Distribution equivalence: auto vs the fixed batch engine
-// ---------------------------------------------------------------------------
-
-// Distribution of (projected counts [, omissions]) after `interactions`
-// physical interactions across seeded trials. The engine is driven in
-// `chunk`-sized advance() calls so the auto engine re-evaluates the regime
-// (and honors auto_force_switch_at) at realistic mid-run boundaries.
-std::map<Counts, std::size_t> chunked_distribution(
-    const std::string& kind, std::shared_ptr<const Protocol> protocol,
-    const std::vector<State>& initial, const SimEngineConfig& config,
-    std::size_t chunk, std::size_t interactions, std::size_t trials,
-    std::uint64_t seed) {
-  std::map<Counts, std::size_t> dist;
-  for (std::size_t trial = 0; trial < trials; ++trial) {
-    Rng rng(seed + trial * 7919);
-    auto engine = make_sim_engine(kind, protocol, initial, config);
-    UniformScheduler sched(initial.size());
-    std::size_t done = 0;
-    while (done < interactions)
-      done += engine->advance(std::min(chunk, interactions - done), sched, rng);
-    Counts key = engine->counts();
-    if (config.adversary) key.push_back(engine->omissions());
-    ++dist[key];
-  }
-  return dist;
-}
-
-void expect_auto_matches_batch(std::shared_ptr<const Protocol> protocol,
-                               const std::vector<State>& initial,
-                               const SimEngineConfig& auto_config,
-                               std::size_t chunk, std::size_t interactions,
-                               std::size_t trials, std::uint64_t seed,
-                               const std::string& label) {
-  SimEngineConfig batch_config = auto_config;
-  batch_config.auto_force_switch_at.reset();
-  const auto batch =
-      chunked_distribution("batch", protocol, initial, batch_config, chunk,
-                           interactions, trials, seed);
-  const auto adaptive =
-      chunked_distribution("auto", protocol, initial, auto_config, chunk,
-                           interactions, trials, seed + 1);
-  const auto [stat, df] = chi_square_homogeneity(batch, adaptive, trials, trials);
-  EXPECT_LE(stat, chi_square_limit(df))
-      << label << ": chi2=" << stat << " df=" << df;
-}
-
 SimEngineConfig spec_config(const std::string& spec,
                             std::optional<AdversaryParams> adversary = {}) {
   SimEngineConfig config;
   config.spec = parse_sim_spec(spec);
   config.adversary = adversary;
   return config;
-}
-
-TEST(AutoEngine, SidMatchesBatch) {
-  // SID starts fully dispersed (every agent a distinct wrapper), so auto
-  // runs the whole workload in agent space — the row that was 0.019x in
-  // count space. The projected distribution must still match batch exactly.
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[3];  // exact-majority
-  expect_auto_matches_batch(w.protocol, w.initial, spec_config("sid"), n,
-                            12 * n, 120, 4101, "auto/sid");
-}
-
-TEST(AutoEngine, NamingMatchesBatch) {
-  // Naming starts collapsed (everyone my_id = 1) and disperses as ids
-  // spread: the natural count -> agent mid-run switch path.
-  const std::size_t n = 6;
-  const Workload w = standard_workloads(n)[3];
-  expect_auto_matches_batch(w.protocol, w.initial, spec_config("naming"), n,
-                            16 * n, 120, 4201, "auto/naming");
-}
-
-TEST(AutoEngine, SknoMatchesBatch) {
-  const std::size_t n = 8;
-  auto p = make_pairing_protocol();
-  const auto st = pairing_states();
-  std::vector<State> init(n, st.consumer);
-  init[0] = init[1] = init[2] = st.producer;
-  expect_auto_matches_batch(p, init, spec_config("skno:o=1"), n, 10 * n, 120,
-                            4301, "auto/skno");
-}
-
-TEST(AutoEngine, SknoUnderAdversaryMatchesBatch) {
-  // Under an adversary the auto engine still arbitrates, carrying its one
-  // omission process across any switch; the omission stream is appended
-  // to the category so it must match too.
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[3];
-  AdversaryParams adv;
-  adv.kind = AdversaryKind::Budget;
-  adv.max_omissions = 2;
-  adv.rate = 0.2;
-  expect_auto_matches_batch(w.protocol, w.initial,
-                            spec_config("skno:o=2", adv), n, 8 * n, 120, 4401,
-                            "auto/skno+budget");
-}
-
-TEST(AutoEngine, SidUnderAdversaryMatchesBatch) {
-  // Agent-space adversary path: SID starts dispersed, so auto runs agent
-  // space and hands the driver its OmissionProcess on every advance().
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[0];  // or
-  AdversaryParams adv;
-  adv.kind = AdversaryKind::UO;
-  adv.rate = 0.25;
-  expect_auto_matches_batch(w.protocol, w.initial, spec_config("sid", adv), n,
-                            8 * n, 120, 4501, "auto/sid+uo");
-}
-
-TEST(AutoEngine, ForcedMidRunSwitchMatchesBatch) {
-  // The tentpole invariant, ctest-enforced: force one representation
-  // switch at a deterministic mid-run boundary (both directions) and pin
-  // the bridge distribution-exact against the never-switching engine.
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[3];
-  // SID starts in agent space -> forced agent -> count switch.
-  SimEngineConfig sid = spec_config("sid");
-  sid.auto_force_switch_at = 6 * n;
-  expect_auto_matches_batch(w.protocol, w.initial, sid, n, 12 * n, 120, 4601,
-                            "auto/sid forced agent->count");
-  // Naming starts in count space -> forced count -> agent switch.
-  const Workload wn = standard_workloads(6)[3];
-  SimEngineConfig naming = spec_config("naming");
-  naming.auto_force_switch_at = 5 * 6;
-  expect_auto_matches_batch(wn.protocol, wn.initial, naming, 6, 12 * 6, 120,
-                            4701, "auto/naming forced count->agent");
 }
 
 // ---------------------------------------------------------------------------
@@ -331,27 +201,6 @@ TEST(AutoEngine, PaperCellLeavesCountSpaceUnderAdversary) {
   engine->sync_metrics();
   EXPECT_EQ(engine->metrics()->gauge("auto.switches").value(), 1.0);
   EXPECT_EQ(engine->omissions(), 2u);
-}
-
-TEST(AutoEngine, ForcedSwitchMidBurstMatchesBatch) {
-  // A capped-burst UO adversary (rate 0.5, at most 2 omissions in a row):
-  // a forced switch lands inside a burst on a large share of the trials,
-  // so the burst counter must cross the bridge intact, in both
-  // directions, for the omission stream to match the fixed engine.
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[3];
-  const AdversaryParams adv = parse_adversary_spec("uo:0.5:burst=2");
-  // SKnO starts collapsed: forced count -> agent at the first boundary,
-  // before the monitor's second observation could switch it.
-  SimEngineConfig skno = spec_config("skno:o=2", adv);
-  skno.auto_force_switch_at = n;
-  expect_auto_matches_batch(w.protocol, w.initial, skno, n, 10 * n, 120, 5101,
-                            "auto/skno+uo:burst=2 forced count->agent");
-  // SID starts dispersed: forced agent -> count.
-  SimEngineConfig sid = spec_config("sid", adv);
-  sid.auto_force_switch_at = 3 * n;
-  expect_auto_matches_batch(w.protocol, w.initial, sid, n, 10 * n, 120, 5201,
-                            "auto/sid+uo:burst=2 forced agent->count");
 }
 
 TEST(AutoEngine, QuietHorizonIsGlobalAcrossForcedSwitch) {

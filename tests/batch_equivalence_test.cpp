@@ -1,39 +1,24 @@
-// Batch/native statistical equivalence. The count chain the batch engine
+// Batch/native reachable-set agreement. The count chain the batch engine
 // advances is the exact projection of the agent-level uniform-scheduler
-// chain, so:
-//   * for n <= 8 the set of reachable count configurations must agree
-//     exactly with an agent-level BFS (including self-pair gating: a rule
-//     (q, q) needs two agents in q);
-//   * over many independent runs, the distribution of the configuration
-//     after T interactions must match — checked with a two-sample
-//     chi-square homogeneity test over >= 100 trials per engine, for every
-//     registry protocol with <= 8 states and for random TableProtocols.
+// chain, so for n <= 8 the set of reachable count configurations must
+// agree exactly with an agent-level BFS (including self-pair gating: a rule
+// (q, q) needs two agents in q). The distributional law of every engine
+// face is checked by conformance_test.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cmath>
-#include <functional>
-#include <limits>
-#include <map>
 #include <set>
 
-#include "chi_square.hpp"
-#include "engine/batch/batch_system.hpp"
-#include "engine/batch/dispatch.hpp"
-#include "engine/workload_runner.hpp"
-#include "protocols/majority.hpp"
+#include "engine/batch/configuration.hpp"
 #include "protocols/registry.hpp"
 #include "test_protocol_gen.hpp"
 
 namespace ppfs {
 namespace {
 
-using ppfs::testing::chi_square_homogeneity;
-using ppfs::testing::chi_square_limit;
 using ppfs::testing::random_initial;
 using ppfs::testing::random_protocol;
 
-using Counts = ppfs::testing::Counts;
+using Counts = std::vector<std::size_t>;
 
 // --- Exact reachable-set agreement (n <= 8) ---------------------------------
 
@@ -119,327 +104,6 @@ TEST(BatchEquivalence, ReachableSetsAgreeOnRegistryProtocols) {
     const auto batch = batch_reachable(w.protocol, init_counts, 200'000);
     EXPECT_EQ(native, batch) << w.name;
   }
-}
-
-// --- Chi-square distributional equivalence ----------------------------------
-
-enum class Driver { NativeEngine, BatchEngine, BatchStep };
-
-std::map<Counts, std::size_t> final_config_distribution(
-    std::shared_ptr<const Protocol> p, const std::vector<State>& init,
-    Driver driver, std::size_t interactions, std::size_t trials,
-    std::uint64_t seed) {
-  std::map<Counts, std::size_t> dist;
-  for (std::size_t trial = 0; trial < trials; ++trial) {
-    Rng rng(seed + trial * 7919);
-    if (driver == Driver::BatchStep) {
-      BatchSystem sys(p, init);
-      for (std::size_t i = 0; i < interactions; ++i) (void)sys.step(rng);
-      ++dist[sys.counts()];
-    } else {
-      auto e = make_engine(
-          driver == Driver::NativeEngine ? "native" : "batch", p, init);
-      UniformScheduler sched(init.size());
-      (void)run_engine_steps(*e, sched, rng, interactions);
-      ++dist[e->counts()];
-    }
-  }
-  return dist;
-}
-
-void expect_distributions_match(std::shared_ptr<const Protocol> p,
-                                const std::vector<State>& init, Driver other,
-                                std::size_t interactions, std::size_t trials,
-                                std::uint64_t seed, const std::string& label) {
-  const auto native = final_config_distribution(p, init, Driver::NativeEngine,
-                                                interactions, trials, seed);
-  const auto batch =
-      final_config_distribution(p, init, other, interactions, trials, seed + 1);
-  const auto [stat, df] = chi_square_homogeneity(native, batch, trials, trials);
-  EXPECT_LE(stat, chi_square_limit(df))
-      << label << ": chi2=" << stat << " df=" << df;
-}
-
-TEST(BatchEquivalence, ChiSquareOnAllRegistryProtocols) {
-  const std::size_t n = 8;
-  for (const Workload& w : standard_workloads(n)) {
-    if (w.protocol->num_states() > 8) continue;
-    expect_distributions_match(w.protocol, w.initial, Driver::BatchEngine,
-                               3 * n, 120, 2024, w.name);
-  }
-}
-
-TEST(BatchEquivalence, ChiSquareOnRandomProtocols) {
-  Rng meta(777);
-  for (int round = 0; round < 5; ++round) {
-    const std::size_t states = 2 + meta.below(4);
-    const std::size_t n = 5 + meta.below(4);
-    auto p = random_protocol(states, meta);
-    const auto init = random_initial(n, states, meta);
-    expect_distributions_match(p, init, Driver::BatchEngine, 2 * n, 120,
-                               900 + round, "random round " + std::to_string(round));
-  }
-}
-
-TEST(BatchEquivalence, ChiSquareExactStepPathMatchesNative) {
-  // The per-interaction hypergeometric step (small-n fallback) must match
-  // the native chain too, not just the geometric batch path.
-  Rng meta(424);
-  for (int round = 0; round < 3; ++round) {
-    const std::size_t states = 2 + meta.below(3);
-    const std::size_t n = 6;
-    auto p = random_protocol(states, meta);
-    const auto init = random_initial(n, states, meta);
-    expect_distributions_match(p, init, Driver::BatchStep, 2 * n, 150,
-                               1300 + round, "step round " + std::to_string(round));
-  }
-}
-
-// --- One-way & omissive models, with and without adversaries ---------------
-//
-// The native reference is the per-agent engine behind the same
-// EngineDispatch configuration (same RuleMatrix, same OmissionProcess
-// semantics), so these tests pin the count-space leap — geometric skip,
-// event-punctuated splitting, binomial omission tally — against the
-// step-wise execution. Where an adversary is on, the omissions-delivered
-// count is appended to the outcome category, so the chi-square also
-// checks that batch omission streams match the native adversary's.
-
-using EngineFactory = std::function<std::unique_ptr<Engine>()>;
-
-std::map<Counts, std::size_t> engine_distribution(
-    const EngineFactory& make, std::size_t n, std::size_t interactions,
-    std::size_t trials, std::uint64_t seed, bool with_omissions) {
-  std::map<Counts, std::size_t> dist;
-  for (std::size_t trial = 0; trial < trials; ++trial) {
-    Rng rng(seed + trial * 7919);
-    auto e = make();
-    UniformScheduler sched(n);
-    (void)run_engine_steps(*e, sched, rng, interactions);
-    Counts key = e->counts();
-    if (with_omissions) key.push_back(e->omissions());
-    ++dist[key];
-  }
-  return dist;
-}
-
-void expect_engines_match(const EngineFactory& make_native,
-                          const EngineFactory& make_batch, std::size_t n,
-                          std::size_t interactions, std::size_t trials,
-                          std::uint64_t seed, bool with_omissions,
-                          const std::string& label) {
-  const auto native = engine_distribution(make_native, n, interactions, trials,
-                                          seed, with_omissions);
-  const auto batch = engine_distribution(make_batch, n, interactions, trials,
-                                         seed + 1, with_omissions);
-  const auto [stat, df] = chi_square_homogeneity(native, batch, trials, trials);
-  EXPECT_LE(stat, chi_square_limit(df))
-      << label << ": chi2=" << stat << " df=" << df;
-}
-
-void expect_one_way_match(std::shared_ptr<const OneWayProtocol> p,
-                          const std::vector<State>& init,
-                          const EngineConfig& config, std::size_t interactions,
-                          std::size_t trials, std::uint64_t seed,
-                          const std::string& label) {
-  const bool with_om = config.adversary.has_value();
-  expect_engines_match(
-      [&] { return make_engine("native", p, init, config); },
-      [&] { return make_engine("batch", p, init, config); }, init.size(),
-      interactions, trials, seed, with_om, label);
-}
-
-TEST(BatchEquivalence, OneWayChiSquareUnderItAndIo) {
-  Rng meta(271);
-  for (int round = 0; round < 4; ++round) {
-    const bool io = round % 2 == 0;
-    const std::size_t states = 2 + meta.below(3);
-    const std::size_t n = 6 + meta.below(3);
-    auto p = testing::random_one_way_protocol(states, meta, io);
-    const auto init = random_initial(n, states, meta);
-    EngineConfig config;
-    config.model = io ? Model::IO : Model::IT;
-    expect_one_way_match(p, init, config, 2 * n, 120, 3100 + round,
-                         std::string(io ? "IO" : "IT") + " round " +
-                             std::to_string(round));
-  }
-}
-
-TEST(BatchEquivalence, OneWayChiSquareUnderI2WithUoAdversary) {
-  // I2 omissions force g on both parties: with a random (non-identity) g
-  // they change counts, exercising the event-punctuated leap.
-  Rng meta(272);
-  for (int round = 0; round < 3; ++round) {
-    const std::size_t states = 2 + meta.below(3);
-    const std::size_t n = 6 + meta.below(3);
-    auto p = testing::random_one_way_protocol(states, meta, /*io=*/false);
-    const auto init = random_initial(n, states, meta);
-    EngineConfig config;
-    config.model = Model::I2;
-    config.adversary = parse_adversary_spec("uo:0.2");
-    expect_one_way_match(p, init, config, 2 * n, 120, 3200 + round,
-                         "I2+uo round " + std::to_string(round));
-  }
-}
-
-TEST(BatchEquivalence, OneWayChiSquareUnderI3WithNoAdversary) {
-  // NO adversary with a horizon inside the run: the batch leap must not
-  // cross the quiet boundary. Random h exercises reactor-side detection.
-  Rng meta(273);
-  for (int round = 0; round < 3; ++round) {
-    const std::size_t states = 2 + meta.below(3);
-    const std::size_t n = 6 + meta.below(2);
-    auto p = testing::random_one_way_protocol(states, meta, /*io=*/false);
-    const auto init = random_initial(n, states, meta);
-    EngineConfig config;
-    config.model = Model::I3;
-    config.fns.h = testing::as_fn(testing::random_unary(states, meta));
-    config.adversary = parse_adversary_spec("no:12:0.3");
-    expect_one_way_match(p, init, config, 3 * n, 120, 3300 + round,
-                         "I3+no round " + std::to_string(round));
-  }
-}
-
-TEST(BatchEquivalence, TwoWayChiSquareUnderT3WithBudgetAdversary) {
-  // T3 with random o/h: omissive outcomes differ per side; the uniform
-  // adversary emits side=Both, whose (o, h) outcome can change counts.
-  Rng meta(274);
-  for (int round = 0; round < 3; ++round) {
-    const std::size_t states = 2 + meta.below(3);
-    const std::size_t n = 6 + meta.below(3);
-    auto p = random_protocol(states, meta);
-    const auto init = random_initial(n, states, meta);
-    EngineConfig config;
-    config.model = Model::T3;
-    config.fns.o = testing::as_fn(testing::random_unary(states, meta));
-    config.fns.h = testing::as_fn(testing::random_unary(states, meta));
-    config.adversary = parse_adversary_spec("budget:6:0.3");
-    expect_engines_match(
-        [&] { return make_engine("native", p, init, config); },
-        [&] { return make_engine("batch", p, init, config); }, n, 3 * n, 120,
-        3400 + round, /*with_omissions=*/true,
-        "T3+budget round " + std::to_string(round));
-  }
-}
-
-TEST(BatchEquivalence, CappedBurstChiSquareOnTransparentOmissions) {
-  // A tight burst cap (2) at a high rate (0.6) under TW lifted to T1:
-  // T1 omissions are global no-ops (o = h = id), so the batch engine runs
-  // the exact within-burst Markov leg (leap::sample_capped_burst_leg).
-  // The omissions-delivered count is part of the chi-square category, so
-  // the burst-capped insertion stream itself must match the step-wise
-  // adversary's, not just the configuration.
-  Rng meta(276);
-  for (int round = 0; round < 3; ++round) {
-    const std::size_t states = 2 + meta.below(3);
-    const std::size_t n = 6 + meta.below(3);
-    auto p = random_protocol(states, meta);
-    const auto init = random_initial(n, states, meta);
-    EngineConfig config;
-    config.model = Model::TW;  // lifted to T1 by the adversary
-    config.adversary = parse_adversary_spec("uo:0.6:burst=2");
-    expect_engines_match(
-        [&] { return make_engine("native", p, init, config); },
-        [&] { return make_engine("batch", p, init, config); }, n, 3 * n, 150,
-        3600 + round, /*with_omissions=*/true,
-        "T1 capped-burst round " + std::to_string(round));
-  }
-}
-
-TEST(BatchEquivalence, CappedBurstChiSquareUnderT3) {
-  // Burst cap with COUNT-CHANGING omissive outcomes (random o/h under
-  // T3): the event-punctuated loop's forced-real branch and burst
-  // bookkeeping must reproduce the step-wise chain.
-  Rng meta(277);
-  for (int round = 0; round < 3; ++round) {
-    const std::size_t states = 2 + meta.below(3);
-    const std::size_t n = 6 + meta.below(2);
-    auto p = random_protocol(states, meta);
-    const auto init = random_initial(n, states, meta);
-    EngineConfig config;
-    config.model = Model::T3;
-    config.fns.o = testing::as_fn(testing::random_unary(states, meta));
-    config.fns.h = testing::as_fn(testing::random_unary(states, meta));
-    config.adversary = parse_adversary_spec("uo:0.5:burst=2");
-    expect_engines_match(
-        [&] { return make_engine("native", p, init, config); },
-        [&] { return make_engine("batch", p, init, config); }, n, 3 * n, 150,
-        3700 + round, /*with_omissions=*/true,
-        "T3 capped-burst round " + std::to_string(round));
-  }
-}
-
-TEST(BatchEquivalence, LiftedIoUnderBudgetMatchesNative) {
-  // The omissive-closure lift (IO -> I1) must agree between engines,
-  // omission counts included.
-  Rng meta(275);
-  const std::size_t states = 3;
-  const std::size_t n = 8;
-  auto p = testing::random_one_way_protocol(states, meta, /*io=*/true);
-  const auto init = random_initial(n, states, meta);
-  EngineConfig config;
-  config.model = Model::IO;
-  config.adversary = parse_adversary_spec("budget:5:0.25");
-  expect_one_way_match(p, init, config, 3 * n, 150, 3500, "IO lifted + budget");
-}
-
-TEST(BatchEquivalence, OneWayStepPathMatchesNative) {
-  // The per-interaction hypergeometric step must agree on one-way models
-  // too, omission process included (step() honors should_omit).
-  Rng meta(276);
-  const std::size_t states = 3;
-  const std::size_t n = 6;
-  auto p = testing::random_one_way_protocol(states, meta, /*io=*/false);
-  const auto init = random_initial(n, states, meta);
-  AdversaryParams adv = parse_adversary_spec("uo:0.2");
-  adv.max_burst = std::numeric_limits<std::size_t>::max();
-  EngineConfig config;
-  config.model = Model::I2;
-  config.adversary = adv;
-
-  const auto native = engine_distribution(
-      [&] { return make_engine("native", p, init, config); }, n, 2 * n, 150,
-      3600, /*with_omissions=*/true);
-  std::map<Counts, std::size_t> stepped;
-  for (std::size_t trial = 0; trial < 150; ++trial) {
-    Rng rng(3601 + trial * 7919);
-    std::vector<std::size_t> counts(states, 0);
-    for (State q : init) ++counts[q];
-    BatchSystem sys(RuleMatrix::compile(p, Model::I2, init), counts);
-    sys.set_omission_process(adv);
-    for (std::size_t i = 0; i < 2 * n; ++i) (void)sys.step(rng);
-    Counts key = sys.counts();
-    key.push_back(sys.omissions());
-    ++stepped[key];
-  }
-  const auto [stat, df] = chi_square_homogeneity(native, stepped, 150, 150);
-  EXPECT_LE(stat, chi_square_limit(df)) << "chi2=" << stat << " df=" << df;
-}
-
-TEST(BatchEquivalence, ConvergedOutputDistributionMatchesOnApproxMajority) {
-  // Run to convergence (one opinion extinct) under both engines and compare
-  // which opinion wins — a coarse but end-to-end distributional check.
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[2];  // approx-majority
-  auto probe = workload_counts_probe(w);
-  std::array<std::map<Counts, std::size_t>, 2> wins;
-  RunOptions opt;
-  opt.max_steps = 200'000;
-  for (int which = 0; which < 2; ++which) {
-    for (std::size_t trial = 0; trial < 150; ++trial) {
-      auto e = make_engine(which == 0 ? "native" : "batch", w.protocol, w.initial);
-      UniformScheduler sched(n);
-      Rng rng(5000 + trial * 13 + which);
-      const RunResult res = run_engine_until(*e, sched, rng, probe, opt);
-      ASSERT_TRUE(res.converged);
-      Counts c = e->counts();
-      // Category: which opinion survived (counts thresholded to win bits).
-      const auto st = approx_majority_states();
-      ++wins[which][Counts{c[st.x] > 0, c[st.y] > 0}];
-    }
-  }
-  const auto [stat, df] = chi_square_homogeneity(wins[0], wins[1], 150, 150);
-  EXPECT_LE(stat, chi_square_limit(df)) << "chi2=" << stat << " df=" << df;
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Shared two-sample chi-square homogeneity machinery for the engine
-// equivalence tests (batch_equivalence_test, omission_side_test,
-// sim_batch_equivalence_test). Header-only on purpose: CMake registers
-// every tests/*.cpp as its own ctest binary.
+// Two-sample chi-square homogeneity machinery, used by the engine
+// conformance suite (conformance_test: every face against native) and the
+// omission-process law tests (omission_process_test: leap legs and round
+// tallies against per-delivery should_omit). Header-only on purpose: CMake
+// registers every tests/*.cpp as its own ctest binary.
 #pragma once
 
 #include <algorithm>

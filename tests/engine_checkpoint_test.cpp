@@ -122,7 +122,7 @@ TEST(EngineCheckpoint, SimBatchEngineResumesExactly) {
 TEST(EngineCheckpoint, AutoSimEngineLockedResumesExactly) {
   // engine=auto + adversary: the engine carries its omission process
   // across switches and arbitrates only on checkpointed state, so
-  // checkpoint_exact() holds from step 0.
+  // its checkpoints are exact from step 0.
   ScenarioSpec spec;
   spec.workload = "exact-majority-gap";
   spec.n = 48;
@@ -217,7 +217,6 @@ TEST(EngineCheckpoint, NativeEngineRefusesCheckpointing) {
   EngineConfig config;
   auto engine = make_engine("native", w.protocol, w.initial, config);
   EXPECT_FALSE(engine->checkpointable());
-  EXPECT_FALSE(engine->checkpoint_exact());
   bin::Writer wtr;
   EXPECT_THROW(engine->save_state(wtr), std::logic_error);
   bin::Reader rdr(std::string_view{});

@@ -1,82 +1,22 @@
-// Step-wise vs count-space simulator equivalence at the ENGINE level: the
-// sparse batch engine (SimBatchSystem behind make_sim_engine) must realize
-// the same distribution over simulated projections as the per-agent
-// step-wise facade — leap sampling, silent-population bookkeeping, omission
-// splitting, state interning and id recycling all included. Checked with
-// two-sample chi-square homogeneity over the projected configuration after
-// a fixed number of physical interactions (with the omissions-delivered
-// count appended when an adversary is attached, so the omission streams
-// must match too), plus a deterministic-seed regression pin of the
-// integer-only step() path.
+// Deterministic-seed regression pin of the count-space simulator's
+// integer-only step() path (SimBatchSystem::step): interning, samplers,
+// omission process and the SKnO core must reproduce golden values exactly
+// on every platform. That the sim engines realize the step-wise law is
+// checked by conformance_test.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cmath>
-#include <map>
+#include <numeric>
 #include <vector>
 
-#include "chi_square.hpp"
-#include "engine/batch/dispatch.hpp"
 #include "engine/batch/sim_batch_system.hpp"
 #include "protocols/pairing.hpp"
-#include "protocols/registry.hpp"
+#include "sched/omission_process.hpp"
 #include "sim/sim_rules.hpp"
 
 namespace ppfs {
 namespace {
 
-using ppfs::testing::chi_square_homogeneity;
-using ppfs::testing::chi_square_limit;
-using Counts = ppfs::testing::Counts;
-
-// Distribution of (projected counts [, omissions]) after `interactions`
-// physical interactions, across `trials` independent runs.
-std::map<Counts, std::size_t> sim_engine_distribution(
-    const std::string& kind, std::shared_ptr<const Protocol> protocol,
-    const std::vector<State>& initial, const SimEngineConfig& config,
-    std::size_t interactions, std::size_t trials, std::uint64_t seed) {
-  std::map<Counts, std::size_t> dist;
-  for (std::size_t trial = 0; trial < trials; ++trial) {
-    Rng rng(seed + trial * 7919);
-    auto engine = make_sim_engine(kind, protocol, initial, config);
-    UniformScheduler sched(initial.size());
-    (void)run_engine_steps(*engine, sched, rng, interactions);
-    Counts key = engine->counts();
-    if (config.adversary) key.push_back(engine->omissions());
-    ++dist[key];
-  }
-  return dist;
-}
-
-void expect_sim_engines_match(std::shared_ptr<const Protocol> protocol,
-                              const std::vector<State>& initial,
-                              const SimEngineConfig& config,
-                              std::size_t interactions, std::size_t trials,
-                              std::uint64_t seed, const std::string& label) {
-  const auto native = sim_engine_distribution("native", protocol, initial,
-                                              config, interactions, trials, seed);
-  const auto batch = sim_engine_distribution("batch", protocol, initial, config,
-                                             interactions, trials, seed + 1);
-  const auto [stat, df] = chi_square_homogeneity(native, batch, trials, trials);
-  EXPECT_LE(stat, chi_square_limit(df))
-      << label << ": chi2=" << stat << " df=" << df;
-}
-
-SimEngineConfig spec_config(const std::string& spec,
-                            std::optional<Model> model = {},
-                            std::optional<AdversaryParams> adversary = {}) {
-  SimEngineConfig config;
-  config.spec = parse_sim_spec(spec);
-  config.model = model;
-  config.adversary = adversary;
-  return config;
-}
-
-std::size_t proj_sum(const Counts& c) {
-  std::size_t s = 0;
-  for (const std::size_t v : c) s += v;
-  return s;
-}
+using Counts = std::vector<std::size_t>;
 
 AdversaryParams budget_adv(std::size_t budget, double rate) {
   AdversaryParams p;
@@ -84,119 +24,6 @@ AdversaryParams budget_adv(std::size_t budget, double rate) {
   p.max_omissions = budget;
   p.rate = rate;
   return p;
-}
-
-TEST(SimBatchEquivalence, NaiveTwMatchesStepwise) {
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[3];  // exact-majority
-  expect_sim_engines_match(w.protocol, w.initial, spec_config("naive"), 3 * n,
-                           120, 3001, "naive/TW");
-}
-
-TEST(SimBatchEquivalence, NaiveOmissiveT2WithSideAdversary) {
-  // The naive wrapper under T2 with a starter-side UO adversary: exercises
-  // the side-targeted omission classes through the sim engines.
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[2];  // approx-majority
-  AdversaryParams adv;
-  adv.kind = AdversaryKind::UO;
-  adv.rate = 0.25;
-  adv.side = OmitSide::Starter;
-  expect_sim_engines_match(w.protocol, w.initial,
-                           spec_config("naive", Model::T2, adv), 3 * n, 120,
-                           3101, "naive/T2+uo@starter");
-}
-
-TEST(SimBatchEquivalence, SidMatchesStepwise) {
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[3];
-  expect_sim_engines_match(w.protocol, w.initial, spec_config("sid"), 6 * n,
-                           100, 3201, "sid/IO");
-}
-
-TEST(SimBatchEquivalence, SidUnderUoAdversaryMatchesStepwise) {
-  // Omission-transparent path: the binomial split must reproduce the
-  // step-wise omission stream exactly (omissions appended to the category).
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[0];  // or
-  AdversaryParams adv;
-  adv.kind = AdversaryKind::UO;
-  adv.rate = 0.3;
-  expect_sim_engines_match(w.protocol, w.initial,
-                           spec_config("sid", std::nullopt, adv), 6 * n, 100,
-                           3301, "sid/IO+uo");
-}
-
-TEST(SimBatchEquivalence, NamingMatchesStepwise) {
-  const std::size_t n = 6;
-  const Workload w = standard_workloads(n)[3];
-  expect_sim_engines_match(w.protocol, w.initial, spec_config("naming"),
-                           10 * n, 100, 3401, "naming/IO");
-}
-
-TEST(SimBatchEquivalence, SknoFaultFreeMatchesStepwise) {
-  const std::size_t n = 6;
-  auto p = make_pairing_protocol();
-  const auto st = pairing_states();
-  std::vector<State> init(n, st.consumer);
-  init[0] = init[1] = init[2] = st.producer;
-  expect_sim_engines_match(p, init, spec_config("skno:o=1"), 8 * n, 100, 3501,
-                           "skno/I3 fault-free");
-}
-
-TEST(SimBatchEquivalence, OmissiveSknoMatchesStepwise) {
-  // The omissive SKnO case: I3 with a budget adversary — omissions strike
-  // the token stream (killed tokens, minted jokers, debt), and the batch
-  // path inserts them through the event-punctuated leap.
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[3];
-  expect_sim_engines_match(
-      w.protocol, w.initial,
-      spec_config("skno:o=2", std::nullopt, budget_adv(2, 0.2)), 8 * n, 100,
-      3601, "skno/I3+budget");
-}
-
-TEST(SimBatchEquivalence, CappedBurstSknoMatchesStepwise) {
-  // Burst-capped adversary on SKnO (the non-transparent sim path): the
-  // event-punctuated loop's forced-real branch and burst bookkeeping must
-  // reproduce the step-wise adversary, omission stream included.
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[3];
-  expect_sim_engines_match(
-      w.protocol, w.initial,
-      spec_config("skno:o=3", std::nullopt,
-                  parse_adversary_spec("budget:8:0.6:burst=2")),
-      8 * n, 120, 3611, "skno/I3+capped-burst");
-}
-
-TEST(SimBatchEquivalence, CappedBurstSidMatchesStepwise) {
-  // Burst-capped UO on an omission-transparent source (SID): the batch
-  // engine runs the exact within-burst Markov leg instead of the binomial
-  // split, and the omission stream must still match.
-  const std::size_t n = 8;
-  const Workload w = standard_workloads(n)[0];  // or
-  expect_sim_engines_match(
-      w.protocol, w.initial,
-      spec_config("sid", std::nullopt, parse_adversary_spec("uo:0.5:burst=2")),
-      6 * n, 120, 3621, "sid/IO+capped-burst");
-}
-
-TEST(SimBatchEquivalence, SknoMatchesStepwiseWithOuterCacheOnAndOff) {
-  // The engine-level outcome cache and the delta path must be invisible
-  // in distribution: run the same SKnO workload with the outer cache
-  // forced on (explicit capacity) and forced off, against the step-wise
-  // engine.
-  const std::size_t n = 6;
-  auto p = make_pairing_protocol();
-  const auto st = pairing_states();
-  std::vector<State> init(n, st.consumer);
-  init[0] = init[1] = init[2] = st.producer;
-  SimEngineConfig on = spec_config("skno:o=1");
-  on.outcome_cache_capacity = 1u << 12;
-  expect_sim_engines_match(p, init, on, 8 * n, 100, 3631, "skno cache on");
-  SimEngineConfig off = spec_config("skno:o=1");
-  off.outcome_cache_capacity = 0;
-  expect_sim_engines_match(p, init, off, 8 * n, 100, 3641, "skno cache off");
 }
 
 TEST(SimBatchEquivalence, DeterministicSeedRegression) {
@@ -228,7 +55,8 @@ TEST(SimBatchEquivalence, DeterministicSeedRegression) {
   EXPECT_EQ(sys.universe_live(), 6u);
   EXPECT_EQ(sys.stats().total_fires(), 441u);
   EXPECT_EQ(sys.stats().noops(), 159u);
-  EXPECT_EQ(proj_sum(sys.projected_counts()), n);
+  const Counts proj = sys.projected_counts();
+  EXPECT_EQ(std::accumulate(proj.begin(), proj.end(), std::size_t{0}), n);
 }
 
 }  // namespace

@@ -5,8 +5,7 @@
 // and its count-space rule source: driving the same interaction script
 // through per-agent objects and through interned wrapper states must
 // produce identical simulated projections at every step. (Distributional
-// equivalence of the engines on top is covered by
-// sim_batch_equivalence_test.cpp.)
+// equivalence of the engines on top is covered by conformance_test.cpp.)
 #include "sim/sim_rules.hpp"
 
 #include <gtest/gtest.h>

@@ -6,14 +6,18 @@
 //     Tier B (in-flight engine snapshot) — to byte-identical output;
 //   * the binary codecs (ReplicaResult, partials, checkpoints) round-trip
 //     and refuse corrupt or mismatched input;
-//   * bin::atomic_write_file lands whole files under concurrent writers.
+//   * bin::atomic_write_file lands whole files under concurrent writers,
+//     and a resume clears only dead writers' temp files.
 #include "exp/sweep_service.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -332,6 +336,24 @@ TEST(AtomicWriteFile, ConcurrentWritersNeitherTearNorLeaveTempFiles) {
       ++debris;
   EXPECT_EQ(debris, 0u);
   std::remove(path.c_str());
+}
+
+TEST(AtomicWriteFile, OnlyDeadWritersTempFilesAreRemoved) {
+  // A reaped child's pid names no live process, so its temp file is the
+  // debris of a killed writer; this process is a live writer, so its temp
+  // file must stay.
+  const pid_t child = ::fork();
+  if (child == 0) ::_exit(0);
+  ASSERT_GT(child, 0);
+  ASSERT_EQ(::waitpid(child, nullptr, 0), child);
+  const std::string path = "sweep_shard_test_debris.ck";
+  const std::string dead = path + ".tmp." + std::to_string(child) + ".0";
+  const std::string live = path + ".tmp." + std::to_string(::getpid()) + ".0";
+  for (const std::string& f : {dead, live}) std::ofstream(f) << "partial";
+  bin::remove_dead_writer_temps(path);
+  EXPECT_FALSE(std::filesystem::exists(dead));
+  EXPECT_TRUE(std::filesystem::exists(live));
+  std::remove(live.c_str());
 }
 
 }  // namespace

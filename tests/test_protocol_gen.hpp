@@ -1,7 +1,7 @@
 // Shared random-protocol generator for property tests: arbitrary dense
 // delta tables with a tunable no-op fraction (no-ops keep stable sets
 // nontrivial), every state initial, outputs alternating by parity. Used by
-// the simulator fuzz tests and the batch/native equivalence tests.
+// the simulator fuzz tests and the engine conformance suite.
 #pragma once
 
 #include <functional>
