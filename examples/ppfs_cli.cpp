@@ -281,16 +281,6 @@ int run_sweep(const SweepCliOptions& cli) {
     grid.traj_every = *traj_every;
   }
 
-  // Native simulator replicas run the step-wise facade, which records no
-  // timeline and no trajectory: refuse those outputs instead of writing
-  // empty ones.
-  if (!cli.metrics_out.empty() || !cli.traj_out.empty())
-    for (const exp::ScenarioSpec& spec : grid.expand())
-      if (!spec.sim.empty() && spec.engine == "native")
-        return usage(("--metrics-out/--traj-out record nothing on the native "
-                      "simulator point '" + spec.point_key() + "'")
-                         .c_str());
-
   const bool sharded = cli.shard_count > 1;
   if (sharded && cli.out_file.empty())
     return usage("--shard=i/k writes a binary partial; name it with "

@@ -343,6 +343,10 @@ std::vector<ScenarioSpec> ScenarioGrid::expand() const {
               spec.max_unmatched_per_n = max_unmatched_per_n;
               spec.metrics_every = metrics_every;
               spec.traj_every = traj_every;
+              if (!spec.sim.empty() && e == "native" &&
+                  metrics_every + traj_every > 0)
+                throw std::invalid_argument("no telemetry on native sim " +
+                                            spec.point_key());
               out.push_back(std::move(spec));
             }
           }
@@ -506,17 +510,17 @@ RunOptions resolve_run_options(const ScenarioSpec& spec) {
 }
 
 ReplicaEngine make_replica_engine(const ScenarioSpec& spec,
-                                  const Workload* workload,
-                                  SimEngineConfig sim_tuning) {
+                                  const Workload* workload) {
   // Every factory drops a rate-0 adversary ("none") itself.
   const AdversaryParams adv = parse_adversary_spec(spec.adversary);
   if (!spec.sim.empty()) {
-    sim_tuning.spec = parse_sim_spec(spec.sim);
-    sim_tuning.model = spec.model;
-    sim_tuning.adversary = adv;
+    SimEngineConfig config;
+    config.spec = parse_sim_spec(spec.sim);
+    config.model = spec.model;
+    config.adversary = adv;
     return {make_sim_engine(spec.engine, workload->protocol,
                             per_agent_initial(*workload, "sim=" + spec.sim),
-                            sim_tuning),
+                            config),
             workload_counts_probe(*workload)};
   }
   const EngineConfig config{resolve_model(spec), {}, adv};

@@ -108,7 +108,8 @@ struct ScenarioSpec {
 
 // The declarative sweep. expand() crosses the axes in the fixed order
 // workload -> n -> model -> adversary -> sim -> engine (innermost last),
-// so row order is reproducible and documented.
+// so row order is reproducible and documented. It refuses telemetry on
+// native simulator points, whose step-wise facade records none.
 struct ScenarioGrid {
   std::vector<std::string> workloads{"exact-majority"};
   std::vector<std::size_t> sizes{100};
@@ -151,20 +152,15 @@ struct ScenarioGrid {
 [[nodiscard]] RunOptions resolve_run_options(const ScenarioSpec& spec);
 
 // The engine a replica of `spec` runs on and the probe it converges under:
-// the one spec -> engine mapping behind every engine-backed replica. The
-// conformance suite builds its native, batch and auto runs through it.
+// the one spec -> engine mapping behind every engine-backed replica.
 // `workload` is the resolved two-way workload, null exactly for one-way
-// direct runs (resolved from the one-way registry here). `sim_tuning`
-// passes simulator-engine settings no grid field carries (outcome cache
-// capacity, a forced auto switch); its spec, model and adversary come
-// from `spec`.
+// direct runs (resolved from the one-way registry here).
 struct ReplicaEngine {
   std::unique_ptr<Engine> engine;
   CountsProbe probe;
 };
-[[nodiscard]] ReplicaEngine make_replica_engine(
-    const ScenarioSpec& spec, const Workload* workload,
-    SimEngineConfig sim_tuning = {});
+[[nodiscard]] ReplicaEngine make_replica_engine(const ScenarioSpec& spec,
+                                                const Workload* workload);
 
 // Execute one replica of `spec` (trial index = RNG stream id). Throws on
 // invalid specs; the runner catches and records errors per replica. If

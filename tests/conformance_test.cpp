@@ -17,11 +17,14 @@
 //                away from the starting face (simulators with an agent
 //                driver), so the table covers both bridge directions;
 //   nocache      batch with the outcome cache off (fault-free SKnO, the
-//                simulator whose fires the cache serves).
+//                simulator whose fires the cache serves);
+//                forced and nocache are make_sim_engine with the replica's
+//                simulator config plus that one test-only setting.
 // On any failure the suite prints the cell x face coverage table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <initializer_list>
 #include <iomanip>
 #include <limits>
@@ -31,6 +34,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chi_square.hpp"
@@ -45,17 +49,19 @@ using testing::Counts;
 // One outcome per trial: final counts [, omissions] [, detection slice].
 using Samples = std::vector<Counts>;
 
-constexpr std::size_t kTrials = 100;
+constexpr std::size_t kTrials = 120;
 
 struct Cell {
   // Fixed-budget cells give steps=; a cell without it runs the workload's
   // probe loop to convergence (registry workloads only).
   const char* grid;
-  // Non-zero: the workload is written "random" and a protocol drawn from
-  // this generator seed replaces it (one-way under one-way models), with
-  // random omission reactions o/h wherever the model lets a party detect
-  // an omission (T2: o; T3: o, h; I3: h).
+  // Non-zero: the workload is written "random" and protocols drawn from
+  // the generator seeds gen .. gen + seeds - 1 replace it, one point per
+  // seed (one-way under one-way models), with random omission reactions
+  // o/h wherever the model lets a party detect an omission (T2: o;
+  // T3: o, h; I3: h).
   std::uint64_t gen = 0;
+  std::uint64_t seeds = 1;
 };
 
 const Cell kCells[] = {
@@ -63,35 +69,38 @@ const Cell kCells[] = {
     {"or,and,approx-majority,exact-majority,exact-majority-gap,leader,"
      "threshold3-true,threshold3-false,mod3,pairing@n=8:steps=24"},
     {"approx-majority@n=8:checkevery=8:stable=1:maxsteps=100000"},
-    {"random@n=7:steps=14", 777},
-    {"random@n=8:steps=16", 778},
+    // Random protocols of 2-5 states, two per n.
+    {"random@n=5,6,7,8:steps=16", 777, 2},
     // Omissive two-way models: side-targeted, capped and unbounded bursts,
     // the NO quiet horizon, budgets.
-    {"random@n=7:adv=uo:0.6:burst=2:steps=21", 276},
+    {"random@n=7:adv=uo:0.6:burst=2:steps=21", 286, 3},
     {"leader@n=8:model=T2:adv=uo@starter:0.5:steps=16"},
     {"leader@n=8:model=T3:adv=uo@reactor:0.5:steps=16"},
     {"pairing@n=8:model=T1:adv=uo@starter:0.3,uo@reactor:0.3:steps=24"},
-    {"random@n=7:model=T3:adv=budget:6:0.3,uo@starter:0.5:burst=2:steps=21",
-     274},
+    {"random@n=7:model=T3:adv=budget:6:0.3,uo:0.5:burst=2,"
+     "uo@starter:0.5:burst=2:steps=21",
+     274, 3},
     {"or@n=16:model=T1:adv=uo:0.5:burst=2:steps=48"},
     {"exact-majority@n=18:model=T1:adv=no:30:0.4:burst=inf:steps=54"},
     {"or@n=48:model=T1:adv=uo:0.3:steps=96"},
     // One-way models.
     {"beacon-or@n=32:model=IT:steps=96"},
     {"beacon-or@n=32:model=I1:adv=uo:0.35:burst=inf,uo:0.1:steps=96"},
-    {"random@n=7:model=IT:steps=14", 271},
-    {"random@n=8:model=IO:steps=16", 272},
+    {"random@n=7:model=IT,IO:steps=14", 271, 2},
     {"random@n=8:model=IO:adv=budget:5:0.25:steps=24", 275},
-    {"random@n=7:model=I2:adv=uo:0.2:burst=inf:steps=14", 273},
-    {"random@n=7:model=I3:adv=no:12:0.3:steps=21", 279},
+    {"random@n=7:model=I2:adv=uo:0.2:burst=inf:steps=14", 283, 3},
+    {"random@n=7:model=I3:adv=no:12:0.3:steps=21", 279, 3},
     // Simulators.
     {"exact-majority@n=8:sim=naive:steps=24"},
     {"leader@n=8:model=T2:sim=naive:adv=uo@starter:0.5:steps=24"},
     {"exact-majority@n=8:sim=sid:steps=96"},
-    {"or@n=8:sim=sid:adv=uo:0.3,uo:0.5:burst=2:steps=48"},
+    {"or@n=8:sim=sid:adv=uo:0.3,uo:0.5:burst=2,budget:4:0.3:steps=48"},
     {"exact-majority@n=6:sim=naming:steps=72"},
     {"pairing@n=6:sim=skno:o=1:steps=48"},
     {"exact-majority@n=8:sim=skno:o=2:adv=uo:0.5:burst=2:steps=80"},
+    // Both budgets run out mid-run: the count-space exhaustion branches.
+    {"exact-majority@n=8:sim=skno:o=2:adv=budget:2:0.2:steps=64"},
+    {"exact-majority@n=8:sim=skno:o=3:adv=budget:8:0.6:burst=2:steps=64"},
 };
 
 enum class Face { Native, Batch, Auto, Step, Round, Forced, NoCache };
@@ -125,58 +134,63 @@ struct Point {
   bool adversary = false;
 };
 
+// One point: `spec` on a registry workload, or (gen != 0) on the random
+// protocol drawn from generator seed `gen`.
+Point make_point(exp::ScenarioSpec spec, std::uint64_t gen) {
+  Point p;
+  const Model model = exp::resolve_model(spec);
+  const bool one_way_direct = spec.sim.empty() && is_one_way(model);
+  p.gen = gen;
+  p.adversary = parse_adversary_spec(spec.adversary).rate > 0.0;
+  if (gen != 0) {
+    spec.workload = "random#" + std::to_string(gen);
+    Rng meta(gen);
+    const std::size_t states = 2 + meta.below(4);
+    if (one_way_direct)
+      p.one_way = testing::random_one_way_protocol(states, meta,
+                                                   model == Model::IO);
+    else
+      p.two_way = testing::random_protocol(states, meta);
+    p.initial = testing::random_initial(spec.n, states, meta);
+    const ModelCaps caps = model_caps(model);
+    if (caps.starter_detects_omission)
+      p.fns.o = testing::as_fn(testing::random_unary(states, meta));
+    if (caps.reactor_detects_omission)
+      p.fns.h = testing::as_fn(testing::random_unary(states, meta));
+  } else if (one_way_direct) {
+    const OneWayWorkload w =
+        find_one_way_workload(spec.workload, spec.n, model);
+    p.one_way = w.protocol;
+    p.initial = w.initial;
+  } else {
+    p.workload = find_workload(spec.workload, spec.n);
+    p.two_way = p.workload->protocol;
+    p.initial = p.workload->initial;
+  }
+  spec.engine = "native";
+  if (gen == 0)
+    p.probe =
+        exp::make_replica_engine(spec, p.workload ? &*p.workload : nullptr)
+            .probe;
+  std::string key = spec.point_key();
+  for (const char* drop : {":model=default", ":adv=none", ":engine=native"}) {
+    const std::size_t at = key.find(drop);
+    if (at != std::string::npos) key.erase(at, std::string(drop).size());
+  }
+  p.label = key;
+  p.spec = std::move(spec);
+  return p;
+}
+
 std::vector<Point> expand_cell(const Cell& cell) {
   std::string text = cell.grid;
   // Random cells parse with a registry stand-in ("or" is both a two-way
-  // and a one-way name); the generator replaces its protocol below.
+  // and a one-way name); make_point replaces its protocol.
   if (cell.gen != 0) text = "or" + text.substr(text.find('@'));
   std::vector<Point> out;
-  for (exp::ScenarioSpec& spec : exp::parse_grid(text).expand()) {
-    Point p;
-    const Model model = exp::resolve_model(spec);
-    const bool one_way_direct = spec.sim.empty() && is_one_way(model);
-    p.gen = cell.gen;
-    p.adversary = parse_adversary_spec(spec.adversary).rate > 0.0;
-    if (cell.gen != 0) {
-      spec.workload = "random#" + std::to_string(cell.gen);
-      Rng meta(cell.gen);
-      const std::size_t states = 2 + meta.below(3);
-      if (one_way_direct)
-        p.one_way = testing::random_one_way_protocol(states, meta,
-                                                     model == Model::IO);
-      else
-        p.two_way = testing::random_protocol(states, meta);
-      p.initial = testing::random_initial(spec.n, states, meta);
-      const ModelCaps caps = model_caps(model);
-      if (caps.starter_detects_omission)
-        p.fns.o = testing::as_fn(testing::random_unary(states, meta));
-      if (caps.reactor_detects_omission)
-        p.fns.h = testing::as_fn(testing::random_unary(states, meta));
-    } else if (one_way_direct) {
-      const OneWayWorkload w =
-          find_one_way_workload(spec.workload, spec.n, model);
-      p.one_way = w.protocol;
-      p.initial = w.initial;
-    } else {
-      p.workload = find_workload(spec.workload, spec.n);
-      p.two_way = p.workload->protocol;
-      p.initial = p.workload->initial;
-    }
-    spec.engine = "native";
-    if (cell.gen == 0)
-      p.probe = exp::make_replica_engine(
-                    spec, p.workload ? &*p.workload : nullptr)
-                    .probe;
-    std::string key = spec.point_key();
-    for (const char* drop :
-         {":model=default", ":adv=none", ":engine=native"}) {
-      const std::size_t at = key.find(drop);
-      if (at != std::string::npos) key.erase(at, std::string(drop).size());
-    }
-    p.label = key;
-    p.spec = std::move(spec);
-    out.push_back(std::move(p));
-  }
+  for (const exp::ScenarioSpec& spec : exp::parse_grid(text).expand())
+    for (std::uint64_t gen = cell.gen; gen < cell.gen + cell.seeds; ++gen)
+      out.push_back(make_point(spec, gen));
   return out;
 }
 
@@ -257,6 +271,16 @@ std::unique_ptr<Engine> build(const Point& p, Face face) {
       face == Face::Native ? "native"
       : face == Face::Auto || face == Face::Forced ? "auto"
                                                    : "batch";
+  if (face == Face::Forced || face == Face::NoCache) {
+    // make_replica_engine's simulator config plus the test-only switch.
+    SimEngineConfig config;
+    config.spec = parse_sim_spec(p.spec.sim);
+    config.model = p.spec.model;
+    config.adversary = adv;
+    if (face == Face::Forced) config.auto_force_switch_at = p.spec.n;
+    if (face == Face::NoCache) config.outcome_cache_capacity = 0;
+    return make_sim_engine(kind, p.two_way, p.initial, config);
+  }
   if (p.gen != 0) {
     const EngineConfig config{model, p.fns, adv};
     return p.one_way ? make_engine(kind, p.one_way, p.initial, config)
@@ -264,11 +288,7 @@ std::unique_ptr<Engine> build(const Point& p, Face face) {
   }
   exp::ScenarioSpec spec = p.spec;
   spec.engine = kind;
-  SimEngineConfig tuning;
-  if (face == Face::Forced) tuning.auto_force_switch_at = spec.n;
-  if (face == Face::NoCache) tuning.outcome_cache_capacity = 0;
-  return exp::make_replica_engine(spec, p.workload ? &*p.workload : nullptr,
-                                  tuning)
+  return exp::make_replica_engine(spec, p.workload ? &*p.workload : nullptr)
       .engine;
 }
 
@@ -351,7 +371,7 @@ std::string coverage_table(const std::vector<Point>& points,
   std::ostringstream out;
   out << "cell x face coverage (chi2/limit; <= 1 passes, . = n/a)\n";
   out << std::left << std::setw(64) << "cell";
-  for (const Face f : kFaces) out << std::setw(9) << face_name(f);
+  for (const Face f : kFaces) out << std::setw(10) << face_name(f);
   out << "\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     out << std::setw(64) << points[i].label;
@@ -363,7 +383,7 @@ std::string coverage_table(const std::vector<Point>& points,
         entry << (it->second <= 1.0 ? "" : "FAIL ") << std::fixed
               << std::setprecision(2) << it->second;
       }
-      out << std::setw(9) << entry.str();
+      out << std::setw(10) << entry.str();
     }
     out << "\n";
   }
@@ -373,18 +393,29 @@ std::string coverage_table(const std::vector<Point>& points,
 TEST(Conformance, EveryFaceMatchesNative) {
   const std::vector<Point> points = all_points();
   std::vector<std::map<Face, double>> distance(points.size());
-  bool failed = false;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    const Samples native = outcomes(p, Face::Native, 0);
-    for (const Face f : kFaces) {
-      if (!applies(p, f)) continue;
-      const double d =
-          law_distance(native, outcomes(p, f, static_cast<int>(f)));
-      distance[i][f] = d;
-      failed |= d > 1.0;
+  // Points are independent (each face's trials are seeded from the point),
+  // so a few workers share them; taking them from the table's end starts
+  // the dear simulator rows first.
+  std::atomic<std::size_t> taken{0};
+  const auto work = [&] {
+    for (std::size_t k; (k = taken++) < points.size();) {
+      const std::size_t i = points.size() - 1 - k;
+      const Point& p = points[i];
+      const Samples native = outcomes(p, Face::Native, 0);
+      for (const Face f : kFaces)
+        if (applies(p, f))
+          distance[i][f] =
+              law_distance(native, outcomes(p, f, static_cast<int>(f)));
     }
-  }
+  };
+  std::vector<std::thread> workers(
+      std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, 4) - 1);
+  for (std::thread& w : workers) w = std::thread(work);
+  work();
+  for (std::thread& w : workers) w.join();
+  bool failed = false;
+  for (const auto& row : distance)
+    for (const auto& [face, d] : row) failed |= d > 1.0;
   EXPECT_FALSE(failed) << coverage_table(points, distance);
 }
 

@@ -95,6 +95,28 @@ TEST(ParseGrid, RejectsUnknownWorkloadsAndSmallPopulations) {
   EXPECT_NO_THROW((void)parse_grid("pairing@n=10:model=I3:sim=skno:o=1"));
 }
 
+TEST(ScenarioGrid, NativeSimulatorPointsRefuseTelemetry) {
+  // The step-wise facade records no timeline and no trajectory: asking a
+  // native simulator point for either is refused, naming the point, not
+  // answered with empty telemetry.
+  for (const bool traj : {false, true}) {
+    ScenarioGrid grid = parse_grid("or@n=16:sim=sid:engine=batch,native");
+    (traj ? grid.traj_every : grid.metrics_every) = 1000;
+    try {
+      (void)grid.expand();
+      ADD_FAILURE() << "expand() accepted telemetry on a native sim point";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("or@n=16"), std::string::npos)
+          << e.what();
+    }
+    grid.engines = {"batch", "auto"};
+    EXPECT_NO_THROW((void)grid.expand());
+  }
+  ScenarioGrid direct = parse_grid("or@n=16:engine=native");
+  direct.metrics_every = direct.traj_every = 1000;
+  EXPECT_NO_THROW((void)direct.expand());
+}
+
 TEST(ScenarioSpec, ToStringRoundTripsThroughParser) {
   ScenarioSpec spec;
   spec.workload = "exact-majority";
