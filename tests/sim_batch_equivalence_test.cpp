@@ -1,14 +1,36 @@
-// Deterministic-seed regression pin of the count-space simulator's
-// integer-only step() path (SimBatchSystem::step): interning, samplers,
-// omission process and the SKnO core must reproduce golden values exactly
-// on every platform. That the sim engines realize the step-wise law is
-// checked by conformance_test.
+// Deterministic-seed regression pins of the count-space systems.
+//
+//   * DeterministicSeedRegression pins the simulator's integer-only step()
+//     path (SimBatchSystem::step): interning, samplers, omission process
+//     and the SKnO core must reproduce golden values exactly on every
+//     platform.
+//   * The LeapPin cases pin advance() — the omission-aware leap both
+//     BatchSystem and SimBatchSystem run — once per leap regime: the exact
+//     integer leap, the capped burst leg, the inert geometric/binomial
+//     split, the full-burst forced delivery, the event-punctuated leap
+//     (omissive fires and omissive no-ops), a NO quiet-horizon crossing
+//     and budget exhaustion mid-leap. These draws include std::log and
+//     std::log1p, so the values hold for one libm; a mismatch under the
+//     same toolchain means the leap's law or its draw order changed.
+//
+// That the engines realize the step-wise law is checked by
+// conformance_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <ostream>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "core/dynamic_rules.hpp"
+#include "core/rule_matrix.hpp"
+#include "engine/batch/batch_system.hpp"
 #include "engine/batch/sim_batch_system.hpp"
+#include "protocols/logic.hpp"
+#include "protocols/majority.hpp"
 #include "protocols/pairing.hpp"
 #include "sched/omission_process.hpp"
 #include "sim/sim_rules.hpp"
@@ -57,6 +79,239 @@ TEST(SimBatchEquivalence, DeterministicSeedRegression) {
   EXPECT_EQ(sys.stats().noops(), 159u);
   const Counts proj = sys.projected_counts();
   EXPECT_EQ(std::accumulate(proj.begin(), proj.end(), std::size_t{0}), n);
+}
+
+// What a fixed-seed advance() run leaves behind.
+struct LeapPin {
+  Counts counts;
+  std::uint64_t omissions = 0;  // emitted by the omission process
+  std::uint64_t omissive_fires = 0;
+  std::uint64_t steps = 0;
+  std::uint64_t fires = 0;
+  std::uint64_t noops = 0;
+  std::uint64_t draws = 0;  // Rng::draw_count()
+  friend bool operator==(const LeapPin&, const LeapPin&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LeapPin& p) {
+  os << "{{";
+  for (std::size_t i = 0; i < p.counts.size(); ++i)
+    os << (i ? ", " : "") << p.counts[i];
+  return os << "}, " << p.omissions << ", " << p.omissive_fires << ", "
+            << p.steps << ", " << p.fires << ", " << p.noops << ", "
+            << p.draws << "}";
+}
+
+const Counts& pin_counts(const BatchSystem& sys) { return sys.counts(); }
+const Counts& pin_counts(const SimBatchSystem& sys) {
+  return sys.projected_counts();
+}
+
+// Drive advance() in slices of `slice` interactions up to `total`.
+template <class System>
+LeapPin run_leaps(System& sys, std::uint64_t seed, std::size_t total,
+                  std::size_t slice) {
+  Rng rng(seed);
+  while (sys.steps() < total)
+    (void)sys.advance(std::min(slice, total - sys.steps()), rng);
+  return {pin_counts(sys), sys.omissions(), sys.stats().omissive_fires(),
+          sys.steps(),     sys.stats().total_fires(),
+          sys.stats().noops(), rng.draw_count()};
+}
+
+// Exact majority over n agents, 60% strong X and 40% strong Y.
+std::vector<State> majority_initial(std::size_t n) {
+  const auto st = exact_majority_states();
+  std::vector<State> init(n, st.big_y);
+  std::fill(init.begin(), init.begin() + static_cast<long>(n * 6 / 10),
+            st.big_x);
+  return init;
+}
+
+// BatchSystem over exact majority at n = 1000 under `model`, with the
+// adversary `adv` ("" for none). Under T1 an omission striking both sides
+// is a global no-op (Wo = 0: the inert regimes); one striking the starter
+// side still applies the reactor's update (Wo > 0).
+LeapPin batch_pin(Model model, const std::string& adv, std::uint64_t seed) {
+  const auto protocol = make_exact_majority();
+  Counts counts(protocol->num_states(), 0);
+  for (const State s : majority_initial(1000)) ++counts[s];
+  BatchSystem sys(RuleMatrix::compile(protocol, model), counts);
+  if (!adv.empty()) sys.set_omission_process(parse_adversary_spec(adv));
+  return run_leaps(sys, seed, 200000, 4096);
+}
+
+// SimBatchSystem over `rules`; `adv` as above. The process is lent, so it
+// must outlive the run.
+LeapPin sim_pin(std::shared_ptr<DynamicRuleSource> rules,
+                const std::vector<State>& init, const std::string& adv,
+                std::uint64_t seed, std::size_t total) {
+  std::optional<OmissionProcess> omit;
+  SimBatchSystem sys(std::move(rules), init);
+  if (!adv.empty()) {
+    omit.emplace(parse_adversary_spec(adv));
+    sys.lend_omission_process(*omit);
+  }
+  return run_leaps(sys, seed, total, 4096);
+}
+
+// Matrix source (the naive simulator's closed universe): general mode,
+// omissions not transparent.
+LeapPin matrix_pin(Model model, const std::string& adv, std::uint64_t seed) {
+  return sim_pin(std::make_shared<MatrixRuleSource>(
+                     RuleMatrix::compile(make_exact_majority(), model)),
+                 majority_initial(1000), adv, seed, 200000);
+}
+
+// A closed matrix source that declares its omissions transparent. That
+// holds under T1 with omissions striking both sides, which change nothing,
+// so the simulator's inert leap regimes run without SID's dense traffic.
+class TransparentMatrixSource final : public DynamicRuleSource {
+ public:
+  explicit TransparentMatrixSource(RuleMatrix rules)
+      : rules_(std::move(rules)) {}
+  [[nodiscard]] std::string describe() const override {
+    return "transparent-matrix";
+  }
+  [[nodiscard]] Model model() const override { return rules_.model(); }
+  [[nodiscard]] const Protocol& protocol() const override {
+    return rules_.protocol();
+  }
+  [[nodiscard]] std::shared_ptr<const Protocol> protocol_ptr() const override {
+    return rules_.protocol_ptr();
+  }
+  [[nodiscard]] std::size_t universe_size() const override {
+    return rules_.num_states();
+  }
+  [[nodiscard]] std::vector<State> intern_initial(
+      const std::vector<State>& sim) override {
+    return sim;
+  }
+  [[nodiscard]] StatePair outcome(InteractionClass c, State s,
+                                  State r) override {
+    return rules_.outcome(c, s, r);
+  }
+  [[nodiscard]] State project(State s) const override { return s; }
+  [[nodiscard]] bool omission_transparent() const override { return true; }
+
+ private:
+  RuleMatrix rules_;
+};
+
+LeapPin transparent_pin(const std::string& adv, std::uint64_t seed) {
+  return sim_pin(std::make_shared<TransparentMatrixSource>(
+                     RuleMatrix::compile(make_exact_majority(), Model::T1)),
+                 majority_initial(1000), adv, seed, 200000);
+}
+
+// SID over OR at n = 12 under I1: omission-transparent, but its dense
+// pairing traffic keeps it on the stepping path most of the time.
+LeapPin sid_pin(const std::string& adv, std::uint64_t seed) {
+  std::vector<State> init(12, 0);
+  init[0] = 1;
+  return sim_pin(std::make_shared<SidRuleSource>(make_or_protocol(),
+                                                 Model::I1, init.size()),
+                 init, adv, seed, 200000);
+}
+
+// SKnO over pairing at n = 6 under I3: factored, so with an active process
+// advance() goes straight to the leap; omissions change counts.
+LeapPin skno_pin(const std::string& adv, std::uint64_t seed) {
+  const auto st = pairing_states();
+  std::vector<State> init(6, st.consumer);
+  init[0] = init[1] = st.producer;
+  return sim_pin(std::make_shared<SknoRuleSource>(make_pairing_protocol(),
+                                                  Model::I3, 1),
+                 init, adv, seed, 20000);
+}
+
+TEST(LeapPin, BatchIntegerLeap) {
+  EXPECT_EQ(batch_pin(Model::TW, "", 101),
+            (LeapPin{{200, 0, 800, 0}, 0, 0, 200000, 1508, 198492, 11709}));
+}
+TEST(LeapPin, BatchCappedBurstLeg) {
+  EXPECT_EQ(
+      batch_pin(Model::T1, "uo:0.6:burst=2", 102),
+      (LeapPin{{200, 0, 800, 0}, 97840, 0, 200000, 1420, 198580, 287486}));
+}
+TEST(LeapPin, BatchInertSplit) {
+  EXPECT_EQ(
+      batch_pin(Model::T1, "uo:0.3:burst=inf", 103),
+      (LeapPin{{200, 0, 800, 0}, 60117, 0, 200000, 1510, 198490, 214281}));
+}
+TEST(LeapPin, BatchFullBurst) {
+  EXPECT_EQ(
+      batch_pin(Model::T1, "uo@starter:0.9:burst=1", 104),
+      (LeapPin{{208, 0, 792, 0}, 94736, 521, 200000, 1551, 198449, 309886}));
+}
+TEST(LeapPin, BatchEventPunctuated) {
+  const LeapPin pin = batch_pin(Model::T1, "uo@starter:0.3:burst=inf", 105);
+  EXPECT_GT(pin.omissive_fires, 0u);
+  EXPECT_GT(pin.omissions, pin.omissive_fires);  // omissive no-ops too
+  EXPECT_EQ(pin, (LeapPin{{180, 0, 820, 0}, 59915, 369, 200000, 1653, 198347,
+                          217831}));
+}
+TEST(LeapPin, BatchQuietHorizon) {
+  EXPECT_EQ(batch_pin(Model::T1, "no:30000:0.3:burst=inf", 106),
+            (LeapPin{{200, 0, 800, 0}, 8990, 0, 200000, 1524, 198476, 43777}));
+  EXPECT_EQ(
+      batch_pin(Model::T1, "no@starter:30000:0.3", 107),
+      (LeapPin{{204, 0, 796, 0}, 8962, 311, 200000, 1521, 198479, 50656}));
+}
+TEST(LeapPin, BatchBudgetExhaustion) {
+  EXPECT_EQ(batch_pin(Model::T1, "budget:40:0.3:burst=2", 108),
+            (LeapPin{{200, 0, 800, 0}, 40, 0, 200000, 1486, 198514, 11788}));
+  EXPECT_EQ(batch_pin(Model::T1, "budget:40:0.3:burst=inf", 109),
+            (LeapPin{{200, 0, 800, 0}, 40, 0, 200000, 1560, 198440, 13362}));
+}
+
+TEST(LeapPin, SimIntegerLeap) {
+  EXPECT_EQ(matrix_pin(Model::TW, "", 201),
+            (LeapPin{{200, 0, 800, 0}, 0, 0, 200000, 1490, 198510, 27822}));
+}
+TEST(LeapPin, SimCappedBurstLeg) {
+  EXPECT_EQ(transparent_pin("uo:0.6:burst=2", 202),
+            (LeapPin{{200, 0, 800, 0}, 98056, 0, 200000, 1592, 198408,
+                     317226}));
+  EXPECT_EQ(sid_pin("uo:0.6:burst=2", 202),
+            (LeapPin{{0, 12}, 97596, 0, 200000, 11640, 188360, 563170}));
+}
+TEST(LeapPin, SimInertSplit) {
+  EXPECT_EQ(transparent_pin("uo:0.3:burst=inf", 203),
+            (LeapPin{{200, 0, 800, 0}, 60001, 0, 200000, 1466, 198534,
+                     233014}));
+  EXPECT_EQ(sid_pin("uo:0.3:burst=inf", 203),
+            (LeapPin{{0, 12}, 60152, 0, 200000, 15943, 184057, 600054}));
+}
+TEST(LeapPin, SimFullBurst) {
+  EXPECT_EQ(skno_pin("uo:0.9:burst=1", 204),
+            (LeapPin{{4, 1, 0, 1}, 9505, 9505, 20000, 19769, 231, 61109}));
+}
+TEST(LeapPin, SimEventPunctuated) {
+  // Every SKnO omission changes the wrapper state; the matrix source also
+  // meets omissive no-ops.
+  EXPECT_EQ(skno_pin("uo:0.3:burst=inf", 205),
+            (LeapPin{{2, 0, 2, 2}, 5956, 5956, 20000, 19550, 450, 62642}));
+  const LeapPin pin = matrix_pin(Model::T1, "uo@starter:0.3:burst=inf", 206);
+  EXPECT_GT(pin.omissive_fires, 0u);
+  EXPECT_GT(pin.omissions, pin.omissive_fires);
+  EXPECT_EQ(pin, (LeapPin{{186, 0, 814, 0}, 59825, 334, 200000, 1605, 198395,
+                          395879}));
+}
+TEST(LeapPin, SimQuietHorizon) {
+  EXPECT_EQ(transparent_pin("no:30000:0.3:burst=inf", 207),
+            (LeapPin{{200, 0, 800, 0}, 9075, 0, 200000, 1466, 198534, 63643}));
+  EXPECT_EQ(matrix_pin(Model::T1, "no:100000:0.3", 212),
+            (LeapPin{{200, 0, 800, 0}, 30151, 0, 200000, 1474, 198526,
+                     207751}));
+  EXPECT_EQ(skno_pin("no:3000:0.3", 208),
+            (LeapPin{{2, 0, 2, 2}, 849, 849, 20000, 18871, 1129, 47983}));
+}
+TEST(LeapPin, SimBudgetExhaustion) {
+  EXPECT_EQ(transparent_pin("budget:2000:0.3:burst=2", 209),
+            (LeapPin{{200, 0, 800, 0}, 2000, 0, 200000, 1460, 198540, 35491}));
+  EXPECT_EQ(skno_pin("budget:40:0.3:burst=inf", 210),
+            (LeapPin{{3, 0, 1, 2}, 40, 40, 20000, 16012, 3988, 51234}));
 }
 
 }  // namespace
