@@ -215,22 +215,61 @@ std::vector<TrajectoryRecord> report_trajectories(const exp::Report& report,
   return records;
 }
 
+// Where a whole-sweep report goes: --out format and file, plus the
+// optional flight-timeline and trajectory-store side files.
+struct ReportOutputs {
+  std::string format = "table";
+  std::string file;
+  std::string metrics;
+  std::string traj;
+};
+
+// 0 for a known --out format, else the usage error's exit status.
+int check_out_format(const ReportOutputs& out) {
+  if (out.format == "table" || out.format == "json" || out.format == "csv")
+    return 0;
+  return usage(("unknown --out format '" + out.format +
+                "' (want table, json or csv)")
+                   .c_str());
+}
+
+// Emit a whole-sweep report (1-process run or merged shards): the side
+// files first, then the report to --out-file (json for the table format)
+// with the table on stdout, or the report itself to stdout. False when a
+// file could not be written.
+bool emit_report(const exp::Report& report, const ReportOutputs& out,
+                 std::size_t metrics_every, std::size_t traj_every) {
+  if (!out.metrics.empty() &&
+      !emit_file(out.metrics, multiplex_flight(report, metrics_every)))
+    return false;
+  if (!out.traj.empty() &&
+      !emit_file(out.traj, encode_trajectory_store(
+                               report_trajectories(report, traj_every))))
+    return false;
+  if (out.file.empty()) {
+    report.write(std::cout, out.format);
+    return true;
+  }
+  std::ostringstream os;
+  report.write(os, out.format == "table" ? "json" : out.format);
+  if (!emit_file(out.file, os.str())) return false;
+  report.print_table(std::cout);
+  return true;
+}
+
 struct SweepCliOptions {
   std::string grid_text;
   std::optional<std::size_t> trials;
   std::optional<std::size_t> threads;
   std::optional<std::uint64_t> seed;
-  std::string out_format = "table";
-  std::string out_file;
+  ReportOutputs out;
   std::optional<std::size_t> metrics_every;
-  std::string metrics_out;
   bool progress = false;
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
   std::string checkpoint_file;
   std::size_t checkpoint_every = 0;  // in-flight snapshot cadence
   std::string resume_file;
-  std::string traj_out;
   std::optional<std::size_t> traj_every;
   // A single-run form's one-point grid: exit with its replica's verdict
   // (single_run_status) instead of the sweep's failed-replica status.
@@ -252,11 +291,7 @@ int single_run_status(const exp::Report& report) {
 // Exit 0 when no replica failed (failure = a replica threw, not
 // non-convergence).
 int run_sweep(const SweepCliOptions& cli) {
-  if (cli.out_format != "table" && cli.out_format != "json" &&
-      cli.out_format != "csv")
-    return usage(("unknown --out format '" + cli.out_format +
-                  "' (want table, json or csv)")
-                     .c_str());
+  if (const int bad = check_out_format(cli.out)) return bad;
   exp::ScenarioGrid grid = exp::parse_grid(cli.grid_text);
   if (cli.trials) grid.trials = *cli.trials;
   if (cli.seed) grid.seed = *cli.seed;
@@ -268,24 +303,24 @@ int run_sweep(const SweepCliOptions& cli) {
   // --metrics-out / --traj-out imply their capture; default both to the
   // recorder's standard 2^20-interaction cadence unless overridden.
   std::optional<std::size_t> metrics_every = cli.metrics_every;
-  if (!cli.metrics_out.empty() && !metrics_every)
+  if (!cli.out.metrics.empty() && !metrics_every)
     metrics_every = std::size_t{1} << 20;
   if (metrics_every) {
     if (*metrics_every == 0) return usage("--metrics-every must be >= 1");
     grid.metrics_every = *metrics_every;
   }
   std::optional<std::size_t> traj_every = cli.traj_every;
-  if (!cli.traj_out.empty() && !traj_every) traj_every = std::size_t{1} << 20;
+  if (!cli.out.traj.empty() && !traj_every) traj_every = std::size_t{1} << 20;
   if (traj_every) {
     if (*traj_every == 0) return usage("--traj-every must be >= 1");
     grid.traj_every = *traj_every;
   }
 
   const bool sharded = cli.shard_count > 1;
-  if (sharded && cli.out_file.empty())
+  if (sharded && cli.out.file.empty())
     return usage("--shard=i/k writes a binary partial; name it with "
                  "--out-file=PATH");
-  if (sharded && !cli.metrics_out.empty())
+  if (sharded && !cli.out.metrics.empty())
     return usage("--metrics-out is a whole-sweep output; partials carry the "
                  "timelines — write it from `ppfs_cli --merge`");
 
@@ -349,35 +384,20 @@ int run_sweep(const SweepCliOptions& cli) {
     bool failed = false;
     for (const exp::ReplicaJob& job : run.owned)
       failed = failed || run.results[job.point][job.trial].failed();
-    if (!cli.traj_out.empty()) {
+    if (!cli.out.traj.empty()) {
       const auto records = exp::trajectory_records(run, grid.traj_every);
-      if (!emit_file(cli.traj_out, encode_trajectory_store(records))) return 2;
+      if (!emit_file(cli.out.traj, encode_trajectory_store(records))) return 2;
     }
     const std::string image =
         exp::encode_partial(prov, run.points, run.results, run.owned);
-    if (!emit_file(cli.out_file, image)) return 2;
+    if (!emit_file(cli.out.file, image)) return 2;
     return failed ? 1 : 0;
   }
 
   const exp::Report report =
       exp::fold_report(run.points, std::move(run.results));
-  if (!cli.metrics_out.empty() &&
-      !emit_file(cli.metrics_out,
-                 multiplex_flight(report, grid.metrics_every)))
+  if (!emit_report(report, cli.out, grid.metrics_every, grid.traj_every))
     return 2;
-  if (!cli.traj_out.empty() &&
-      !emit_file(cli.traj_out,
-                 encode_trajectory_store(
-                     report_trajectories(report, grid.traj_every))))
-    return 2;
-  if (!cli.out_file.empty()) {
-    std::ostringstream os;
-    report.write(os, cli.out_format == "table" ? "json" : cli.out_format);
-    if (!emit_file(cli.out_file, os.str())) return 2;
-    report.print_table(std::cout);
-  } else {
-    report.write(std::cout, cli.out_format);
-  }
   if (cli.single_run) return single_run_status(report);
   return report.any_failed() ? 1 : 0;
 }
@@ -386,12 +406,8 @@ int run_sweep(const SweepCliOptions& cli) {
 // flight-timeline / trajectory-store side files). Byte-identical to the
 // 1-process run of the same grid.
 int run_merge(const std::vector<std::string>& files,
-              const std::string& out_format, const std::string& out_file,
-              const std::string& metrics_out, const std::string& traj_out) {
-  if (out_format != "table" && out_format != "json" && out_format != "csv")
-    return usage(("unknown --out format '" + out_format +
-                  "' (want table, json or csv)")
-                     .c_str());
+              const ReportOutputs& out) {
+  if (const int bad = check_out_format(out)) return bad;
   if (files.empty()) return usage("--merge needs at least one partial file");
   std::vector<std::string> images;
   images.reserve(files.size());
@@ -402,21 +418,7 @@ int run_merge(const std::vector<std::string>& files,
             << report.rows().size() << " grid points x " << prov.trials
             << " trials\n";
 
-  if (!metrics_out.empty() &&
-      !emit_file(metrics_out, multiplex_flight(report, prov.metrics_every)))
-    return 2;
-  if (!traj_out.empty() &&
-      !emit_file(traj_out, encode_trajectory_store(report_trajectories(
-                               report, prov.traj_every))))
-    return 2;
-  if (!out_file.empty()) {
-    std::ostringstream os;
-    report.write(os, out_format == "table" ? "json" : out_format);
-    if (!emit_file(out_file, os.str())) return 2;
-    report.print_table(std::cout);
-  } else {
-    report.write(std::cout, out_format);
-  }
+  if (!emit_report(report, out, prov.metrics_every, prov.traj_every)) return 2;
   return report.any_failed() ? 1 : 0;
 }
 
@@ -531,14 +533,14 @@ int main(int argc, char** argv) {
         else if (args[pos].rfind("--seed=", 0) == 0)
           cli.seed = parse_count("--seed", args[pos].substr(7));
         else if (args[pos].rfind("--out=", 0) == 0)
-          cli.out_format = args[pos].substr(6);
+          cli.out.format = args[pos].substr(6);
         else if (args[pos].rfind("--out-file=", 0) == 0)
-          cli.out_file = args[pos].substr(11);
+          cli.out.file = args[pos].substr(11);
         else if (args[pos].rfind("--metrics-every=", 0) == 0)
           cli.metrics_every =
               parse_count("--metrics-every", args[pos].substr(16));
         else if (args[pos].rfind("--metrics-out=", 0) == 0)
-          cli.metrics_out = args[pos].substr(14);
+          cli.out.metrics = args[pos].substr(14);
         else if (args[pos].rfind("--shard=", 0) == 0) {
           const std::string spec = args[pos].substr(8);
           const std::size_t slash = spec.find('/');
@@ -556,7 +558,7 @@ int main(int argc, char** argv) {
         else if (args[pos].rfind("--resume=", 0) == 0)
           cli.resume_file = args[pos].substr(9);
         else if (args[pos].rfind("--traj-out=", 0) == 0)
-          cli.traj_out = args[pos].substr(11);
+          cli.out.traj = args[pos].substr(11);
         else if (args[pos].rfind("--traj-every=", 0) == 0)
           cli.traj_every = parse_count("--traj-every", args[pos].substr(13));
         else if (args[pos] == "--progress")
@@ -570,25 +572,22 @@ int main(int argc, char** argv) {
     // --merge folds shard partials back into the full-sweep report.
     if (!args.empty() && args[0] == "--merge") {
       std::vector<std::string> files;
-      std::string out_format = "table";
-      std::string out_file;
-      std::string metrics_out;
-      std::string traj_out;
+      ReportOutputs out;
       for (std::size_t pos = 1; pos < args.size(); ++pos) {
         if (args[pos].rfind("--out=", 0) == 0)
-          out_format = args[pos].substr(6);
+          out.format = args[pos].substr(6);
         else if (args[pos].rfind("--out-file=", 0) == 0)
-          out_file = args[pos].substr(11);
+          out.file = args[pos].substr(11);
         else if (args[pos].rfind("--metrics-out=", 0) == 0)
-          metrics_out = args[pos].substr(14);
+          out.metrics = args[pos].substr(14);
         else if (args[pos].rfind("--traj-out=", 0) == 0)
-          traj_out = args[pos].substr(11);
+          out.traj = args[pos].substr(11);
         else if (args[pos].rfind("--", 0) == 0)
           return usage(("unknown merge flag '" + args[pos] + "'").c_str());
         else
           files.push_back(args[pos]);
       }
-      return run_merge(files, out_format, out_file, metrics_out, traj_out);
+      return run_merge(files, out);
     }
 
     // The single-run forms: one point of the lattice, run as a one-point

@@ -12,34 +12,13 @@
 // InteractionSystem applies — so one-way and omissive models run in count
 // space with no second encoding of §2.2–2.3.
 //
-// Without an omission process the leap is the exact integer path of PR 1:
-// the run of no-ops before the next count-changing interaction is
-// geometric with success probability W/T, W the total weight of
-// count-changing ordered pairs and T = n(n-1); exact Bernoulli trials when
-// W/T >= 1/64, floating-point inversion (error ~1e-16) below that.
-//
-// With an omission process attached, each delivered interaction is
-// omissive with probability p = rate, independently, while the process is
-// active (budget remaining, before the NO quiet horizon) — the burst cap
-// of the step-wise path is treated as unbounded here (bursts are finite
-// a.s. for rate < 1; EngineDispatch normalizes max_burst away so both
-// engines realize the same distribution). Leaps split each no-op run into
-// real and omissive draws exactly:
-//
-//   * omissions cannot change counts (their class weight Wo = 0) and the
-//     budget cannot run out mid-leap: the run until the next change is
-//     geometric with success (1-p)·Wr/T and the omissive draws inside it
-//     are recovered by binomial splitting — exact Bernoulli or
-//     geometric-gap sampling except when both binomial tails are heavy
-//     (mean >= 256 each side), where a normal approximation with
-//     negligible relative error tallies them; the split never decides
-//     which rule fires;
-//   * otherwise the leap is punctuated by "events" (omissive deliveries
-//     and real count-changes): the run of real no-ops before an event is
-//     geometric with success p + (1-p)·Wr/T, the event is classified
-//     omissive with probability p over that, and an omissive event changes
-//     counts with exact integer probability Wo/T. Each omissive delivery
-//     costs O(1), so Budget(o) adversaries add O(o) total work to a run.
+// advance() runs the omission-aware leap leap::advance
+// (leap_sampling.hpp), which describes its regimes: the exact integer leap
+// without an active omission process, and with one (Def. 1–2, burst cap
+// and NO horizon included) exact splits of each no-op run into real and
+// omissive draws. Omissions are inert here when their class weight Wo is
+// 0; otherwise an omissive delivery changes counts with exact integer
+// probability Wo/T.
 //
 // The changing weights Wr / Wo are maintained INCREMENTALLY: each class
 // keeps a fixed enumeration of its count-changing pairs (is_noop depends
@@ -61,6 +40,7 @@
 #include "core/rule_matrix.hpp"
 #include "engine/batch/alias_sampler.hpp"
 #include "engine/batch/configuration.hpp"
+#include "engine/batch/leap_sampling.hpp"
 #include "engine/stats.hpp"
 #include "obs/metrics.hpp"
 #include "sched/omission_process.hpp"
@@ -164,6 +144,16 @@ class BatchSystem {
  private:
   friend class RoundSystem;    // the round-dense face shares this state
   friend struct AuditTestPeer;  // mutation-smoke state corruption (tests)
+  template <class System>
+  friend void leap::advance(System&, std::size_t, Rng&, BatchDelta&);
+
+  // leap::advance hooks: (Wr, T) after a flush; omissions are inert when
+  // their class weight is 0; fire one real changing pair; resolve one
+  // omissive delivery (a count change w.p. Wo/T).
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> leap_weight() const;
+  [[nodiscard]] bool omissions_inert() const noexcept { return w_omit_ == 0; }
+  void fire_real(std::uint64_t w, Rng& rng, BatchDelta& d);
+  bool fire_omission(std::uint64_t t, Rng& rng, BatchDelta& d);
 
   // Weight of ordered pair (s, r): C[s] * (C[r] - [s == r]).
   [[nodiscard]] std::uint64_t pair_weight(State s, State r) const noexcept;

@@ -26,8 +26,9 @@
 // omissive closure (TW -> T1, IT/IO -> I1): omissions strike undetectably,
 // which is exactly the Fig. 1 embedding. Both engines realize the same
 // omission process, max_burst included: the step-wise path consults
-// should_omit per delivery, the batch path samples the identical
-// within-burst Markov chain in aggregate (leap::sample_capped_burst_leg).
+// should_omit per delivery, the count-space systems sample the identical
+// within-burst Markov chain in aggregate through one leap, leap::advance
+// (leap_sampling.hpp, which lists its regimes).
 #pragma once
 
 #include <functional>

@@ -1,10 +1,11 @@
 // Shared leap samplers for the count-space engines (BatchSystem over dense
 // closed universes, SimBatchSystem over sparse open ones): geometric no-op
 // run lengths with exact integer trials in the dense regime and
-// floating-point inversion in the sparse one, and the binomial splitter
-// that tallies omissive no-ops inside a leap. See the BatchSystem header
-// for the exactness discussion; these are the single implementation both
-// engines draw from.
+// floating-point inversion in the sparse one, the binomial splitter that
+// tallies omissive no-ops inside a leap, the burst-capped leg, and
+// leap::advance — the one omission-aware leap both systems run (its
+// regimes are described there). The round face's hypergeometric and
+// round-length samplers live here too.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +13,8 @@
 #include <cstdint>
 #include <optional>
 
+#include "engine/batch/configuration.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace ppfs::leap {
@@ -156,9 +159,9 @@ inline std::optional<double> long_run_probability(std::size_t slots,
 // into one geometric draw, and the continuation of a burst into one
 // truncated-geometric draw — so the cost is O(1) per burst episode (not
 // per omission), exact at every delivery position including truncation at
-// `cap` and exhaustion of the omission budget. Callers with w_omit > 0
-// punctuate per omissive delivery anyway and only need the forced-real
-// branch, which they implement inline.
+// `cap` and exhaustion of the omission budget. When omissive deliveries
+// can change counts, leap::advance punctuates per omissive delivery and
+// only needs the forced-real branch, which it takes inline.
 struct BurstLeg {
   std::size_t deliveries = 0;  // consumed, <= cap (includes the fire)
   std::size_t omissions = 0;   // inserted among them (all global no-ops)
@@ -238,6 +241,168 @@ inline BurstLeg sample_capped_burst_leg(double p, std::uint64_t w,
     // forced real, budget -> real tail, delivery cap -> return).
   }
   return leg;
+}
+
+// The omission-aware leap (Def. 1–2 adversaries in count space): covers
+// deliveries until `d.interactions` reaches `budget`, stopping after the
+// first count-changing one. Each delivery is omissive with probability
+// p = rate, independently, while the omission process is active (budget
+// left, before the NO quiet horizon), with at most max_burst omissions in
+// a row. A leap never crosses the quiet horizon
+// (OmissionProcess::horizon_cap): the next loop iteration sees the
+// process inactive there. The regimes:
+//
+//   1. no process, or an inactive one (inactivity is absorbing): the exact
+//      integer leap — the no-op run before the next real change is
+//      geometric with success W/T, W the real changing weight and T the
+//      pair total; exact Bernoulli trials when W/T >= 1/64, floating-point
+//      inversion (error ~1e-16) below that;
+//   2. omissions inert (they can never change counts) and the burst cap
+//      reachable: sample_capped_burst_leg walks the within-burst chain one
+//      burst episode at a time, budget exhaustion included;
+//   3. omissions inert, the cap unreachable and the budget covering the
+//      leap: the run until the next change is geometric with success
+//      (1-p)·W/T, and the omissive draws inside it are recovered by one
+//      binomial split (sample_binomial; it paces the budget, never decides
+//      which rule fires);
+//   4. a full burst: the next delivery is real with certainty (no rate
+//      coin);
+//   5. otherwise the event-punctuated leap: an "event" is an omissive
+//      delivery or a real change; the run of real no-ops before one is
+//      geometric with success p + (1-p)·W/T (every real delivery resets the
+//      burst), the event is omissive with probability p over that, and the
+//      system resolves an omissive event itself. Each omissive delivery
+//      costs O(1), so Budget(o) adversaries add O(o) work to a run.
+//
+// The kernel owns the regime choice and the no-op bookkeeping (BatchDelta,
+// steps, RunStats, the leap-length histogram). `System` befriends it and
+// supplies only what differs between the engines:
+//   * members steps_, stats_, omit_ (pointer-like; null without a process)
+//     and m_leap_len_;
+//   * leap_weight() -> (W, T) of the real class under the current counts;
+//   * omissions_inert(): omissive deliveries never change counts;
+//   * fire_real(W, rng, d): apply one real count-changing pair;
+//   * fire_omission(T, rng, d): resolve one omissive delivery, applying it
+//     and returning true when it changes counts.
+// The fire hooks record the fire in `d` and the stats but count no
+// delivery; the kernel does.
+template <class System>
+void advance(System& sys, std::size_t budget, Rng& rng, BatchDelta& d) {
+  auto& omit = sys.omit_;
+  // `k` deliveries that changed nothing, `om` of them omissive.
+  const auto pass = [&](std::size_t k, std::size_t om) {
+    sys.stats_.record_omissive_noops(om);
+    sys.stats_.record_noops(k - om);
+    d.noops += k;
+    d.interactions += k;
+    sys.steps_ += k;
+  };
+  // One delivery whose fire a hook just applied.
+  const auto fired = [&] {
+    ++d.interactions;
+    ++sys.steps_;
+  };
+
+  while (d.interactions < budget) {
+    const std::size_t remaining = budget - d.interactions;
+    const auto [w, t] = sys.leap_weight();
+
+    if (!omit || !omit->active(sys.steps_)) {  // 1.
+      if (w == 0) {
+        pass(remaining, 0);
+        return;
+      }
+      const std::size_t run = sample_noop_run(w, t, rng, remaining);
+      PPFS_METRIC(sys.m_leap_len_, record(run));
+      pass(run, 0);
+      if (run < remaining) {
+        sys.fire_real(w, rng, d);
+        fired();
+      }
+      return;
+    }
+
+    const double p = omit->rate();
+    const std::size_t cap = omit->horizon_cap(sys.steps_, remaining);
+    const double wr = static_cast<double>(w) / static_cast<double>(t);
+    const bool capped = omit->burst_cap_reachable();
+    const bool inert = sys.omissions_inert();
+    if (inert && capped) {  // 2.
+      std::size_t burst = omit->burst();
+      const BurstLeg leg =
+          sample_capped_burst_leg(p, w, t, omit->max_burst(), burst,
+                                  omit->remaining_budget(), cap, rng);
+      omit->set_burst(burst);
+      omit->note_omissions(leg.omissions);
+      d.omissions += leg.omissions;
+      pass(leg.deliveries - (leg.fire ? 1 : 0), leg.omissions);
+      if (leg.fire) {
+        sys.fire_real(w, rng, d);
+        fired();
+        return;
+      }
+      if (cap == remaining) return;  // budget exhausted
+      continue;                        // crossed the quiet horizon
+    }
+
+    if (inert && omit->remaining_budget() > cap) {  // 3.
+      const double rho = (1.0 - p) * wr;  // per-delivery change probability
+      const std::size_t run = sample_bernoulli_run(rho, rng, cap);
+      PPFS_METRIC(sys.m_leap_len_, record(run));
+      if (run > 0) {
+        const double q_om = p / (1.0 - rho);  // P(omissive | no-op)
+        const std::size_t om = sample_binomial(run, q_om, rng);
+        omit->note_omissions(om);
+        d.omissions += om;
+        pass(run, om);
+      }
+      if (run == cap) {
+        if (cap == remaining) return;  // budget exhausted
+        continue;                        // crossed the quiet horizon
+      }
+      sys.fire_real(w, rng, d);
+      fired();
+      return;
+    }
+
+    if (capped && omit->burst() >= omit->max_burst()) {  // 4.
+      omit->set_burst(0);
+      if (w > 0 && rng.below(t) < w) {
+        sys.fire_real(w, rng, d);
+        fired();
+        return;
+      }
+      pass(1, 0);
+      continue;
+    }
+
+    const double sigma = p + (1.0 - p) * wr;  // 5.
+    const std::size_t run = sample_bernoulli_run(sigma, rng, cap);
+    PPFS_METRIC(sys.m_leap_len_, record(run));
+    if (run > 0) {
+      pass(run, 0);
+      omit->set_burst(0);
+    }
+    if (run == cap) {
+      if (cap == remaining) return;
+      continue;
+    }
+    if (rng.chance(p / sigma)) {
+      omit->note_omissions(1);
+      omit->set_burst(omit->burst() + 1);
+      ++d.omissions;
+      if (sys.fire_omission(t, rng, d)) {
+        fired();
+        return;
+      }
+      pass(1, 1);
+      continue;  // budget/horizon/burst state may have changed
+    }
+    sys.fire_real(w, rng, d);
+    fired();
+    omit->set_burst(0);
+    return;
+  }
 }
 
 namespace detail {

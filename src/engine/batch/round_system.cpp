@@ -1,7 +1,6 @@
 #include "engine/batch/round_system.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "engine/batch/leap_sampling.hpp"
 
@@ -72,11 +71,8 @@ BatchDelta RoundSystem::advance(std::size_t budget, Rng& rng) {
   // Never let a round cross the NO quiet horizon: the per-delivery
   // omission probability flips to zero there, which the next round
   // (adversary then inactive) picks up.
-  std::size_t cap = budget;
-  if (omit &&
-      omit->quiet_after() != std::numeric_limits<std::size_t>::max() &&
-      omit->quiet_after() > base_.steps_)
-    cap = std::min(cap, omit->quiet_after() - base_.steps_);
+  const std::size_t cap =
+      omit ? omit->horizon_cap(base_.steps_, budget) : budget;
 
   // 1. Collision-free prefix length (truncation at `cap` is exact).
   const std::size_t len = leap::sample_round_length(n, rng, cap);

@@ -36,16 +36,14 @@
 //         Both paths are exact realizations of the same chain, so the
 //         trajectory-dependent switch introduces no bias.
 //
-// Omission adversaries (Def. 1–2) attach exactly as on BatchSystem,
-// burst cap included (the exact within-burst Markov leap — see
-// BatchSystem's header). Leaps split into real and omissive draws:
-// omission-transparent sources (reactor-side-only simulators) use the
-// burst-capped leg or, when the cap cannot bind, the binomial split —
-// omissive draws cannot change counts — while the general path punctuates
-// the leap per omissive delivery (tracking the shared burst counter) and
-// draws the victim pair hypergeometrically, applying whatever the
-// omissive class outcome is (distribution-identical to BatchSystem's
-// Wo/T split, O(1) index work per delivered omission).
+// Omission adversaries (Def. 1–2) attach exactly as on BatchSystem, burst
+// cap included: after the factored hot loop and the dense stepping path,
+// advance() runs the same leap::advance (leap_sampling.hpp, which
+// describes its regimes). Omissions are inert on omission-transparent
+// sources (reactor-side-only simulators); otherwise each omissive delivery
+// draws its victim pair hypergeometrically and applies whatever the
+// omissive-class outcome is (distribution-identical to BatchSystem's Wo/T
+// split, O(1) index work per delivered omission).
 //
 // Open universes (rule sources with open_universe()) release states whose
 // count returns to zero: ids recycle through the interner's free list, so
@@ -62,6 +60,7 @@
 
 #include "core/dynamic_rules.hpp"
 #include "engine/batch/configuration.hpp"
+#include "engine/batch/leap_sampling.hpp"
 #include "engine/stats.hpp"
 #include "obs/metrics.hpp"
 #include "sched/omission_process.hpp"
@@ -339,10 +338,17 @@ class SimBatchSystem {
  private:
   friend struct AuditTestPeer;  // mutation-smoke state corruption (tests)
 
-  // (changing weight, total weight) of the Real class under the current
-  // counts; the no-op run before the next real count-change is geometric
-  // with success w/t.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> real_weight();
+  template <class System>
+  friend void leap::advance(System&, std::size_t, Rng&, BatchDelta&);
+
+  // leap::advance hooks. (changing weight, total weight) of the Real class
+  // under the current counts: the no-op run before the next real
+  // count-change is geometric with success w/t.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> leap_weight();
+  // Omissive deliveries never change counts (reactor-side-only sources).
+  [[nodiscard]] bool omissions_inert() const {
+    return rules_->omission_transparent();
+  }
   [[nodiscard]] std::uint64_t scan_changing_weight();
 
   void grow_to_universe();
@@ -366,7 +372,11 @@ class SimBatchSystem {
                                                            Rng& rng);
   void apply_fire(InteractionClass c, State s, State r, StatePair out,
                   BatchDelta& d);
+  // Fire one Real count-changing pair (the caller counts the delivery).
   void fire_real(std::uint64_t w, Rng& rng, BatchDelta& d);
+  // One omissive delivery: a hypergeometric pair under the omissive-class
+  // outcome; applies it and returns true when it changes counts.
+  bool fire_omission(std::uint64_t t, Rng& rng, BatchDelta& d);
   // One exact hypergeometric interaction (shared by step() and the dense
   // adaptive path); returns whether a rule fired.
   bool step_once(Rng& rng, BatchDelta& d);

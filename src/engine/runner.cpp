@@ -4,8 +4,11 @@
 
 namespace ppfs {
 
+namespace {
+
+template <class W>
 std::function<bool(const std::vector<std::size_t>&, const Protocol&)>
-workload_counts_probe(const Workload& w) {
+counts_probe(const W& w) {
   if (w.converged) {
     auto probe = w.converged;
     return [probe](const std::vector<std::size_t>& counts, const Protocol&) {
@@ -21,8 +24,6 @@ workload_counts_probe(const Workload& w) {
   };
 }
 
-namespace {
-
 template <class W>
 std::unique_ptr<Engine> workload_engine(const std::string& kind, const W& w,
                                         const EngineConfig& config) {
@@ -33,6 +34,16 @@ std::unique_ptr<Engine> workload_engine(const std::string& kind, const W& w,
 }
 
 }  // namespace
+
+std::function<bool(const std::vector<std::size_t>&, const Protocol&)>
+workload_counts_probe(const Workload& w) {
+  return counts_probe(w);
+}
+
+std::function<bool(const std::vector<std::size_t>&, const Protocol&)>
+workload_counts_probe(const OneWayWorkload& w) {
+  return counts_probe(w);
+}
 
 std::unique_ptr<Engine> make_workload_engine(const std::string& kind,
                                              const Workload& w,

@@ -17,10 +17,14 @@
 namespace ppfs {
 
 // A probe over projected state counts, derived from the workload:
-// either its custom `converged` functor or consensus on expected_output.
+// either its custom `converged` functor or every occupied state's output
+// equal to expected_output.
 [[nodiscard]] std::function<bool(const std::vector<std::size_t>&,
                                  const Protocol&)>
 workload_counts_probe(const Workload& w);
+[[nodiscard]] std::function<bool(const std::vector<std::size_t>&,
+                                 const Protocol&)>
+workload_counts_probe(const OneWayWorkload& w);
 
 // The one construction path from a workload to an engine. The count-space
 // kinds ("batch", "auto") build from initial_counts — O(q) at every n —

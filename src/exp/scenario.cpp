@@ -529,14 +529,8 @@ ReplicaEngine make_replica_engine(const ScenarioSpec& spec,
             workload_counts_probe(*workload)};
   const OneWayWorkload w =
       find_one_way_workload(spec.workload, spec.n, config.model);
-  auto conv = w.converged;
-  const int expect = w.expected_output;
   return {make_workload_engine(spec.engine, w, config),
-          [conv, expect](const std::vector<std::size_t>& counts,
-                         const Protocol& p) {
-            if (conv) return conv(counts);
-            return counts_consensus_output(counts, p) == expect;
-          }};
+          workload_counts_probe(w)};
 }
 
 namespace {

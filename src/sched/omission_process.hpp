@@ -19,13 +19,13 @@
 // Both paths honor max_burst (a cap on consecutive insertions): the
 // step-wise path through should_omit's burst counter, the batch path
 // through an exact Markov-chain leap over the same within-burst state
-// (leap::sample_capped_burst_leg and the engines' event-punctuated
-// loops), which reads and writes the shared counter via burst() /
+// (leap::advance in engine/batch/leap_sampling.hpp, which describes its
+// regimes), reading and writing the shared counter via burst() /
 // set_burst(). When the cap cannot bind — unbounded max_burst, or too
 // little omission budget left to ever complete a burst
 // (burst_cap_reachable() false, an absorbing condition since
-// burst + remaining budget never increases) — the engines fall back to
-// the cheaper uncapped leaps, which are then exact as-is.
+// burst + remaining budget never increases) — the leap falls back to
+// the cheaper uncapped splits, which are then exact as-is.
 //
 // The round face counts a whole round's omissions at once
 // (sample_round_omissions). Under a capped adversary it uses a coupling:
@@ -36,6 +36,7 @@
 // run-probability correction; otherwise the chain is walked.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -97,8 +98,15 @@ class OmissionProcess {
   [[nodiscard]] bool active(std::size_t step) const noexcept;
   [[nodiscard]] double rate() const noexcept { return params_.rate; }
   [[nodiscard]] std::size_t remaining_budget() const noexcept;
-  [[nodiscard]] std::size_t quiet_after() const noexcept {
-    return params_.quiet_after;
+  // The part of `budget` deliveries from `step` on that stays short of the
+  // NO quiet horizon: a leap or round never crosses it, because the
+  // omission probability drops to zero there.
+  [[nodiscard]] std::size_t horizon_cap(std::size_t step,
+                                        std::size_t budget) const noexcept {
+    if (params_.quiet_after == std::numeric_limits<std::size_t>::max() ||
+        params_.quiet_after <= step)
+      return budget;
+    return std::min(budget, params_.quiet_after - step);
   }
   // Credit `k` omissions sampled by a batch leap.
   void note_omissions(std::size_t k) noexcept { emitted_ += k; }

@@ -1,12 +1,13 @@
 // Engine conformance: every engine kind and every pinned execution face
 // realizes the law of the per-agent chain. One table of cells, each a grid
 // in the `--sweep` grammar (exp::parse_grid; every expanded point is a
-// row), and one trial loop: each point runs `kTrials` times on the native
-// engine and on every face that applies, and a two-sample chi-square
-// compares each face's outcome distribution with native's. The outcome is
-// the final projected counts, plus the omissions delivered when an
-// adversary is attached (so the omission stream must match too); probe
-// cells (no steps=) run to convergence and add the detection slice.
+// row), and one trial loop: each point runs `kTrials` times (or its
+// cell's own count) on the native engine and on every face that applies,
+// and a two-sample chi-square compares each face's outcome distribution
+// with native's. The outcome is the final projected counts, plus the
+// omissions delivered when an adversary is attached (so the omission
+// stream must match too); probe cells (no steps=) run to convergence and
+// add the detection slice.
 //
 // Faces, each against native:
 //   batch, auto  the engine kinds, built by exp::make_replica_engine (the
@@ -49,6 +50,7 @@ using testing::Counts;
 // One outcome per trial: final counts [, omissions] [, detection slice].
 using Samples = std::vector<Counts>;
 
+// Trials per face unless a cell asks for more.
 constexpr std::size_t kTrials = 120;
 
 struct Cell {
@@ -62,6 +64,9 @@ struct Cell {
   // T3: o, h; I3: h).
   std::uint64_t gen = 0;
   std::uint64_t seeds = 1;
+  // Runs per face: more for cells that must see a small bias in one leap
+  // regime's omission tally.
+  std::size_t trials = kTrials;
 };
 
 const Cell kCells[] = {
@@ -101,6 +106,17 @@ const Cell kCells[] = {
     // Both budgets run out mid-run: the count-space exhaustion branches.
     {"exact-majority@n=8:sim=skno:o=2:adv=budget:2:0.2:steps=64"},
     {"exact-majority@n=8:sim=skno:o=3:adv=budget:8:0.6:burst=2:steps=64"},
+    // leap::advance's two splits, with enough trials that a 10% bias in
+    // one split's omission tally fails: the inert split (omissions that
+    // change nothing, no burst cap) and the event-punctuated split
+    // (omissions that change counts), direct and through SKnO. SID is the
+    // simulator whose omissions are inert, but its dense pairing traffic
+    // keeps it on the stepping path, so its row adds coverage, not power.
+    {"or@n=16:model=T1:adv=uo:0.5:burst=inf:steps=64", 0, 1, 600},
+    {"or@n=16:model=T1:adv=uo@starter:0.5:burst=inf:steps=64", 0, 1, 600},
+    {"exact-majority@n=8:sim=skno:o=2:adv=uo:0.5:burst=inf:steps=64", 0, 1,
+     600},
+    {"or@n=8:sim=sid:adv=uo:0.5:burst=inf:steps=96"},
 };
 
 enum class Face { Native, Batch, Auto, Step, Round, Forced, NoCache };
@@ -125,6 +141,7 @@ struct Point {
   exp::ScenarioSpec spec;  // engine is set per face
   std::string label;
   std::uint64_t gen = 0;
+  std::size_t trials = kTrials;
   std::optional<Workload> workload;  // null: one-way direct point
   std::shared_ptr<const Protocol> two_way;
   std::shared_ptr<const OneWayProtocol> one_way;
@@ -189,8 +206,10 @@ std::vector<Point> expand_cell(const Cell& cell) {
   if (cell.gen != 0) text = "or" + text.substr(text.find('@'));
   std::vector<Point> out;
   for (const exp::ScenarioSpec& spec : exp::parse_grid(text).expand())
-    for (std::uint64_t gen = cell.gen; gen < cell.gen + cell.seeds; ++gen)
+    for (std::uint64_t gen = cell.gen; gen < cell.gen + cell.seeds; ++gen) {
       out.push_back(make_point(spec, gen));
+      out.back().trials = cell.trials;
+    }
   return out;
 }
 
@@ -292,7 +311,7 @@ std::unique_ptr<Engine> build(const Point& p, Face face) {
       .engine;
 }
 
-// Outcomes of `p` on `face` over kTrials seeded runs. Fixed
+// Outcomes of `p` on `face` over p.trials seeded runs. Fixed
 // budgets are driven in n-sized advance() calls, so auto engines arbitrate
 // (and forced switches fire) at mid-run boundaries; probe cells run the
 // sweep's probe loop.
@@ -301,7 +320,7 @@ Samples outcomes(const Point& p, Face face, std::uint64_t salt) {
   // Keyed twice: split(trial) only XORs the trial into the seed, so
   // nearby seeds would share trial streams across faces.
   const Rng base = Rng(p.spec.point_seed() ^ p.gen).split(salt);
-  for (std::size_t trial = 0; trial < kTrials; ++trial) {
+  for (std::size_t trial = 0; trial < p.trials; ++trial) {
     Rng rng = base.split(trial);
     auto engine = build(p, face);
     UniformScheduler sched(p.spec.n);
@@ -347,7 +366,7 @@ double law_distance(const Samples& a, const Samples& b) {
   double worst = 0.0;
   for (std::size_t coord = 0; coord <= a.front().size(); ++coord) {
     const auto [stat, df] = testing::chi_square_homogeneity(
-        view(a, coord), view(b, coord), kTrials, kTrials);
+        view(a, coord), view(b, coord), a.size(), b.size());
     worst = std::max(worst, stat / testing::chi_square_limit(df));
   }
   return worst;
