@@ -17,9 +17,9 @@
 #include "engine/runner.hpp"
 #include "obs/metrics.hpp"
 #include "engine/workload_runner.hpp"
-#include "exp/replica_runner.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
+#include "exp/sweep_service.hpp"
 #include "protocols/registry.hpp"
 #include "sched/adversary.hpp"
 #include "sim/simulator.hpp"
@@ -44,7 +44,7 @@ inline std::uint64_t bench_seed(std::uint64_t fallback) {
 // report writer — the paper-table harnesses declare ScenarioGrids and call
 // this instead of hand-rolling sweep loops and table printing.
 inline exp::Report run_grid(const exp::ScenarioGrid& grid) {
-  return exp::ReplicaRunner().run_grid(grid);
+  return exp::run_points(grid.expand());
 }
 
 // Registry workload names for a grid's workload axis.

@@ -64,7 +64,6 @@ void memory_vs_qp() {
   bench::banner("COR 1 / Table 3: bits per agent vs |Q_P| (n fixed at 16)");
   const std::size_t n = 16;
   exp::Report report;
-  exp::ReplicaRunner runner;
   for (const std::uint32_t k : {2, 4, 8, 16, 32}) {
     const LinearThresholdSpec spec{{0, 1}, k};
     auto p = make_linear_threshold(spec);
@@ -84,9 +83,7 @@ void memory_vs_qp() {
     s.fixed_steps = 60'000;
     s.trials = 2;
     s.seed = bench::bench_seed(333) + k;
-    auto outcome = runner.run(s);
-    report.add(std::move(s), std::move(outcome.aggregate),
-               std::move(outcome.replicas));
+    report.extend(exp::run_points({std::move(s)}));
   }
   report.print_table(std::cout);
   std::cout << "\nShape to observe: bits grow with the simulated state-space "

@@ -1,4 +1,4 @@
-// EXP — wall-clock scaling of the experiment layer's replica runner on an
+// EXP — wall-clock scaling of the experiment layer's replica drain on an
 // embarrassingly parallel grid, plus a determinism cross-check.
 //
 // The grid is a multi-trial batch-engine sweep (count-space exact majority
@@ -33,11 +33,8 @@ struct TimedSweep {
 };
 
 TimedSweep timed_sweep(const exp::ScenarioGrid& grid, std::size_t threads) {
-  exp::RunnerOptions opt;
-  opt.threads = threads;
-  exp::ReplicaRunner runner(opt);
   const auto start = std::chrono::steady_clock::now();
-  const exp::Report report = runner.run_grid(grid);
+  const exp::Report report = exp::run_points(grid.expand(), threads);
   const auto stop = std::chrono::steady_clock::now();
   TimedSweep out;
   out.seconds = std::chrono::duration<double>(stop - start).count();

@@ -85,7 +85,7 @@
 //   any thread count. --checkpoint=FILE atomically rewrites a resume
 //   checkpoint after every completed replica; --checkpoint-every=N
 //   additionally embeds mid-replica engine snapshots captured at probe
-//   slice boundaries every N interactions (--threads=1 drains only);
+//   slice boundaries every N interactions (single-threaded drains only);
 //   --resume=FILE continues a killed sweep from its checkpoint to the
 //   byte-identical final output. --traj-out=FILE persists per-replica
 //   count trajectories (--traj-every cadence, default 2^20) as a
@@ -115,7 +115,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/replica_runner.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep_service.hpp"

@@ -407,9 +407,16 @@ void advance(System& sys, std::size_t budget, Rng& rng, BatchDelta& d) {
 
 namespace detail {
 
+// log Γ(x). std::lgamma also stores Γ's sign in the global `signgam`, a
+// data race between replicas on a sweep's worker threads; lgamma_r hands
+// the sign back through its argument and computes the same value.
+inline double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 inline double lchoose(double n, double k) {
-  return std::lgamma(n + 1.0) - std::lgamma(k + 1.0) -
-         std::lgamma(n - k + 1.0);
+  return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0);
 }
 
 // Mode-centered two-sided inversion of Hypergeometric(N, K, m): one
@@ -580,10 +587,10 @@ inline std::size_t sample_round_length(std::uint64_t n, Rng& rng,
   double u = rng.uniform();
   if (u <= 0.0) u = 0x1.0p-53;
   const double lu = std::log(u);
-  const double lg_n = std::lgamma(static_cast<double>(n) + 1.0);
+  const double lg_n = detail::log_gamma(static_cast<double>(n) + 1.0);
   const double lt = std::log(static_cast<double>(t));
   const auto ls = [&](std::size_t i) {
-    return lg_n - std::lgamma(static_cast<double>(n - 2 * i) + 1.0) -
+    return lg_n - detail::log_gamma(static_cast<double>(n - 2 * i) + 1.0) -
            static_cast<double>(i) * lt;
   };
   if (ls(max_len) > lu) return max_len;

@@ -42,8 +42,8 @@ struct ReplicaResult {
   // and persisted by the sweep service's trajectory store, never
   // aggregated.
   std::string traj;
-  // Non-empty = the replica threw (or was cancelled); excluded from every
-  // distributional column, counted in failed().
+  // Non-empty = the replica threw; excluded from every distributional
+  // column, counted in failed().
   std::string error;
   [[nodiscard]] bool failed() const noexcept { return !error.empty(); }
 };

@@ -39,11 +39,8 @@ class Report {
   [[nodiscard]] const std::vector<ReportRow>& rows() const noexcept {
     return rows_;
   }
-  [[nodiscard]] std::vector<ReportRow>& rows_mutable() noexcept {
-    return rows_;
-  }
 
-  // Any replica failed (threw / cancelled) anywhere in the sweep?
+  // Any replica failed (threw) anywhere in the sweep?
   [[nodiscard]] bool any_failed() const noexcept;
   // Every completed replica of every point converged?
   [[nodiscard]] bool all_converged() const noexcept;

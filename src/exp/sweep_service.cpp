@@ -1,6 +1,9 @@
 #include "exp/sweep_service.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -112,6 +115,84 @@ std::size_t resolved_threads(std::size_t threads) {
   if (threads != 0) return threads;
   const std::size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
+}
+
+// An empty results matrix: one default slot per (point, trial).
+std::vector<std::vector<ReplicaResult>> empty_results(
+    const std::vector<ScenarioSpec>& points) {
+  std::vector<std::vector<ReplicaResult>> results(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p)
+    results[p].resize(std::max<std::size_t>(1, points[p].trials));
+  return results;
+}
+
+// How job i of a drain starts: from a captured in-flight snapshot, and/or
+// capturing new ones (Tier B). Only one-worker drains ask.
+struct ReplicaStart {
+  const ReplicaSnapshot* resume = nullptr;
+  SnapshotHook on_snapshot;
+  std::size_t snapshot_every = 0;
+};
+
+// The one replica drain. min(threads, jobs) workers take job indices off
+// one atomic cursor; each replica runs under one try/catch, so a replica
+// that throws lands as a failed result in results[point][trial]. done(i),
+// if set, runs after job i, one call at a time under a mutex. The first
+// exception done() throws stops the pool from starting new jobs (and from
+// calling done() again) and is rethrown once every worker has joined. On a
+// one-worker pool (replicas run inline on the caller) start(i), if set,
+// picks job i's Tier B snapshot hooks.
+void drain(const std::vector<ScenarioSpec>& points,
+           const std::vector<ReplicaJob>& jobs, std::size_t threads,
+           std::vector<std::vector<ReplicaResult>>& results,
+           const std::function<void(std::size_t)>& done,
+           const std::function<ReplicaStart(std::size_t)>& start = {}) {
+  const std::size_t workers = std::min(
+      resolved_threads(threads), std::max<std::size_t>(1, jobs.size()));
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> stop{false};
+  std::mutex mutex;
+  std::exception_ptr error;
+
+  const auto worker = [&] {
+    for (std::size_t i = 0;
+         !stop.load(std::memory_order_relaxed) &&
+         (i = next.fetch_add(1, std::memory_order_relaxed)) < jobs.size();) {
+      const ReplicaJob job = jobs[i];
+      const ReplicaStart how =
+          workers == 1 && start ? start(i) : ReplicaStart{};
+      ReplicaResult& slot = results[job.point][job.trial];
+      try {
+        slot = run_replica_resumable(points[job.point], job.trial, how.resume,
+                                     how.on_snapshot, how.snapshot_every);
+      } catch (const std::exception& e) {
+        slot = ReplicaResult{};
+        slot.error = e.what();
+      } catch (...) {
+        slot = ReplicaResult{};
+        slot.error = "unknown error";
+      }
+      if (!done) continue;
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (error) return;
+      try {
+        done(i);
+      } catch (...) {
+        error = std::current_exception();
+        stop.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+
+  if (workers == 1) {
+    worker();
+  } else {
+    // jthreads join on scope exit, also when starting a later one throws.
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace
@@ -264,14 +345,12 @@ Report merge_partials(const std::vector<std::string>& images) {
   }
 
   std::vector<ScenarioSpec> points = ref.expand_points();
-  std::vector<std::vector<ReplicaResult>> results(points.size());
+  std::vector<std::vector<ReplicaResult>> results = empty_results(points);
   std::vector<std::vector<char>> filled(points.size());
   std::size_t total = 0;
   for (std::size_t p = 0; p < points.size(); ++p) {
-    const std::size_t trials = std::max<std::size_t>(1, points[p].trials);
-    results[p].resize(trials);
-    filled[p].assign(trials, 0);
-    total += trials;
+    filled[p].assign(results[p].size(), 0);
+    total += results[p].size();
   }
 
   std::size_t placed = 0;
@@ -353,23 +432,12 @@ SweepRun run_sweep_shard(const SweepProvenance& prov,
   SweepRun run;
   run.points = prov.expand_points();
   const std::vector<ReplicaJob> all = sweep_jobs(run.points);
-
-  run.results.resize(run.points.size());
-  for (std::size_t p = 0; p < run.points.size(); ++p)
-    run.results[p].resize(std::max<std::size_t>(1, run.points[p].trials));
-
-  // This shard's slice, with each job's global index alongside (the
-  // checkpoint format records global indices so a resumed process can
-  // validate ownership without re-deriving the round-robin).
-  std::vector<std::size_t> owned_global;
-  for (std::size_t g = prov.shard_index; g < all.size();
-       g += prov.shard_count) {
-    owned_global.push_back(g);
-    run.owned.push_back(all[g]);
-  }
+  run.owned = shard_jobs(all, prov.shard_index, prov.shard_count);
+  run.results = empty_results(run.points);
 
   // The live checkpoint this drain maintains; rewritten atomically after
-  // every completed replica (and at every in-flight capture).
+  // every completed replica (and at every in-flight capture). It records
+  // global job indices, so a resumed process can validate ownership.
   SweepCheckpoint ck;
   ck.prov = prov;
   std::vector<char> done(all.size(), 0);
@@ -393,18 +461,22 @@ SweepRun run_sweep_shard(const SweepProvenance& prov,
     }
   }
 
-  std::vector<std::size_t> pending;
-  for (const std::size_t g : owned_global)
-    if (!done[g]) pending.push_back(g);
-
-  const std::size_t total = owned_global.size();
-  std::size_t finished = ck.completed.size();
+  // Owned job k is global job shard_index + k * shard_count (shard_jobs'
+  // round-robin); the drain runs the ones not done yet.
+  std::vector<ReplicaJob> pending;
+  std::vector<std::size_t> pending_global;
+  for (std::size_t k = 0; k < run.owned.size(); ++k) {
+    const std::size_t g = prov.shard_index + k * prov.shard_count;
+    if (done[g]) continue;
+    pending.push_back(run.owned[k]);
+    pending_global.push_back(g);
+  }
 
   // strict = throw on a failed write (the completion-time writes; losing
   // them silently would defeat the resume contract). The mid-replica
   // snapshot writes are best-effort: a transient failure there must not
   // surface as a thrown — hence "failed" — replica, and any persistent
-  // failure still aborts loudly at the next completion write.
+  // failure still stops the drain at the next completion write.
   const auto write_checkpoint = [&](bool strict) {
     if (opt.checkpoint_file.empty()) return;
     if (!bin::atomic_write_file(opt.checkpoint_file, encode_checkpoint(ck)) &&
@@ -415,84 +487,55 @@ SweepRun run_sweep_shard(const SweepProvenance& prov,
 
   // A finished replica invalidates any in-flight snapshot (it was for the
   // job that just finished, or stale from a resume).
-  const auto record_done = [&](std::size_t job, const ReplicaResult& res) {
-    ck.completed.emplace_back(job, res);
+  const auto record_done = [&](std::size_t i) {
+    const ReplicaJob job = pending[i];
+    const ReplicaResult& res = run.results[job.point][job.trial];
+    ck.completed.emplace_back(pending_global[i], res);
     ck.has_inflight = false;
     ck.inflight = ReplicaSnapshot{};
-    ++finished;
     write_checkpoint(/*strict=*/true);
     if (opt.on_replica)
-      opt.on_replica(finished, total, run.points[all[job].point],
-                     all[job].trial, res);
+      opt.on_replica(ck.completed.size(), run.owned.size(),
+                     run.points[job.point], job.trial, res);
   };
 
-  if (resolved_threads(opt.threads) > 1) {
-    // Multi-threaded drain: Tier A checkpoints only. A resumed in-flight
-    // snapshot is discarded and its job re-run from scratch — a replica is
-    // a pure function of (spec, trial), so the result is identical either
-    // way; only the wall-clock of one replica is lost.
-    std::vector<ReplicaJob> jobs;
-    jobs.reserve(pending.size());
-    for (const std::size_t g : pending) jobs.push_back(all[g]);
-
-    // on_job reports (point, trial); map back to the global index.
-    std::vector<std::size_t> offset(run.points.size(), 0);
-    for (std::size_t p = 1; p < run.points.size(); ++p)
-      offset[p] = offset[p - 1] + run.results[p - 1].size();
-
-    RunnerOptions ro;
-    ro.threads = opt.threads;
-    ro.on_job = [&](std::size_t point, std::size_t trial,
-                    const ReplicaResult& res) {
-      record_done(offset[point] + trial, res);
-    };
-    std::vector<std::vector<ReplicaResult>> fresh =
-        ReplicaRunner(ro).run_jobs(run.points, jobs);
-    for (const ReplicaJob& job : jobs)
-      run.results[job.point][job.trial] =
-          std::move(fresh[job.point][job.trial]);
-    return run;
-  }
-
-  // Single-threaded drain: jobs run inline in owned order, so an embedded
-  // in-flight snapshot (Tier B) can be captured at probe-slice boundaries
-  // and resumed mid-replica.
+  // Tier B, asked for only by one-worker drains, whose jobs run inline in
+  // owned order: an embedded in-flight snapshot resumes its replica
+  // mid-run, and captures land at probe-slice boundaries. A larger pool
+  // re-runs a resumed in-flight job from scratch — a replica is a pure
+  // function of (spec, trial), so only one replica's wall-clock is lost.
   const bool capture = !opt.checkpoint_file.empty() && opt.snapshot_every > 0;
-  for (const std::size_t g : pending) {
-    const ReplicaJob job = all[g];
-    const ScenarioSpec& spec = run.points[job.point];
-    ReplicaResult& slot = run.results[job.point][job.trial];
-
-    const ReplicaSnapshot* resume_snap = nullptr;
+  const auto start = [&](std::size_t i) {
+    const std::size_t g = pending_global[i];
+    ReplicaStart how;
     if (opt.resume != nullptr && opt.resume->has_inflight &&
         opt.resume->inflight_job == g)
-      resume_snap = &opt.resume->inflight;
-
-    SnapshotHook hook;
+      how.resume = &opt.resume->inflight;
     if (capture) {
-      hook = [&, g](const ReplicaSnapshot& snap) {
+      how.on_snapshot = [&, g](const ReplicaSnapshot& snap) {
         ck.has_inflight = true;
         ck.inflight_job = g;
         ck.inflight = snap;
         write_checkpoint(/*strict=*/false);
       };
+      how.snapshot_every = opt.snapshot_every;
     }
+    return how;
+  };
 
-    try {
-      slot = run_replica_resumable(spec, job.trial, resume_snap, hook,
-                                   capture ? opt.snapshot_every : 0);
-    } catch (const std::exception& e) {
-      slot = ReplicaResult{};
-      slot.error = e.what();
-    } catch (...) {
-      slot = ReplicaResult{};
-      slot.error = "unknown error";
-    }
-    record_done(g, slot);
-  }
+  drain(run.points, pending, opt.threads, run.results, record_done, start);
   return run;
 }
 
+Report run_points(const std::vector<ScenarioSpec>& points,
+                  std::size_t threads) {
+  std::vector<std::vector<ReplicaResult>> results = empty_results(points);
+  drain(points, sweep_jobs(points), threads, results, {});
+  return fold_report(points, std::move(results));
+}
+
+// Fold in trial order — fixed by construction, never by scheduling, which
+// is what keeps aggregates byte-identical across thread counts.
 Report fold_report(const std::vector<ScenarioSpec>& points,
                    std::vector<std::vector<ReplicaResult>> results) {
   Report report;

@@ -1,12 +1,17 @@
 // Sharded, resumable sweep service over the experiment layer.
 //
 // A sweep is a flattened (point, trial) job list — point-major, trial-minor,
-// the one enumeration ReplicaRunner, sharding and checkpointing all share.
-// Because every replica is a pure function of (spec, trial) — its Rng
+// the one enumeration in-process sweeps, sharding and checkpointing all
+// share. Because every replica is a pure function of (spec, trial) — its Rng
 // stream is keyed, never shared — the list can be cut anywhere and executed
 // by any process at any thread count without changing a single byte of the
-// final report. This header packages the three service facets built on
-// that property:
+// final report. One worker-pool drain runs every job list: workers take
+// jobs off one atomic cursor, a replica that throws becomes a failed
+// result, and per-job callbacks run one at a time under a mutex. This
+// header packages the facets built on that property:
+//
+//   * IN-PROCESS SWEEPS. run_points() drains a whole point list and folds
+//     it in trial order — the benches' and tests' entry point.
 //
 //   * SHARD/MERGE. shard_jobs() deals job i to shard (i mod k) — a
 //     deterministic round-robin that load-balances points across shards —
@@ -20,7 +25,7 @@
 //
 //   * CHECKPOINT/RESUME. run_sweep_shard() can atomically rewrite a
 //     checkpoint file (write temp + rename, bin::atomic_write_file) after
-//     every completed replica, and — on single-threaded drains of
+//     every completed replica, and — on one-worker drains of
 //     exactness-safe replicas — embed an in-flight ReplicaSnapshot
 //     (engine state + Rng position + harness progress) captured at probe
 //     slice boundaries every `snapshot_every` interactions. Resuming after
@@ -39,7 +44,8 @@
 #include <string>
 #include <vector>
 
-#include "exp/replica_runner.hpp"
+#include "exp/report.hpp"
+#include "exp/scenario.hpp"
 #include "util/binio.hpp"
 #include "util/trajectory.hpp"
 
@@ -66,8 +72,13 @@ struct SweepProvenance {
   [[nodiscard]] std::vector<ScenarioSpec> expand_points() const;
 };
 
-// The flattened job list: point-major, trial-minor (identical to
-// ReplicaRunner::run_points's enumeration).
+// One (point, trial) cell of a sweep's flattened job list.
+struct ReplicaJob {
+  std::size_t point = 0;
+  std::size_t trial = 0;
+};
+
+// The flattened job list: point-major, trial-minor.
 [[nodiscard]] std::vector<ReplicaJob> sweep_jobs(
     const std::vector<ScenarioSpec>& points);
 
@@ -111,7 +122,7 @@ struct SweepCheckpoint {
   // (global job index, result) for every finished replica, in completion
   // order. Indices refer to sweep_jobs(prov.expand_points()).
   std::vector<std::pair<std::size_t, ReplicaResult>> completed;
-  // At most one in-flight replica (single-threaded drains only).
+  // At most one in-flight replica (one-worker drains only).
   bool has_inflight = false;
   std::size_t inflight_job = 0;
   ReplicaSnapshot inflight{};
@@ -123,12 +134,15 @@ struct SweepCheckpoint {
 // --- the service ------------------------------------------------------------
 
 struct SweepServiceOptions {
-  std::size_t threads = 0;  // ReplicaRunner semantics (0 = hardware)
+  // Worker threads (0 = std::thread::hardware_concurrency, min 1). A pool
+  // of one runs the replicas inline on the caller.
+  std::size_t threads = 0;
   // Checkpoint file path; empty disables checkpointing. The file is
-  // atomically rewritten after every completed replica.
+  // atomically rewritten after every completed replica; a write that fails
+  // stops the drain and run_sweep_shard throws std::runtime_error.
   std::string checkpoint_file;
   // > 0: additionally embed in-flight engine snapshots every this many
-  // interactions (exactness-safe replicas on single-threaded drains only;
+  // interactions (exactness-safe replicas on one-worker drains only;
   // ignored otherwise).
   std::size_t snapshot_every = 0;
   // Resume from this checkpoint image (decode_checkpoint result). Null =
@@ -148,8 +162,12 @@ struct SweepRun {
   std::vector<ReplicaJob> owned;  // this shard's job slice, job order
 };
 
-// Execute (or resume) the shard `prov` describes. Throws on a resume
-// checkpoint whose provenance is incompatible with `prov`.
+// Execute (or resume) the shard `prov` describes. Throws
+// std::invalid_argument on a shard index outside its count, and
+// std::runtime_error on a resume checkpoint whose provenance is
+// incompatible with `prov` or on the first error a per-replica callback
+// (checkpoint write, on_replica) throws — the latter after every worker
+// has joined.
 [[nodiscard]] SweepRun run_sweep_shard(const SweepProvenance& prov,
                                        const SweepServiceOptions& opt);
 
@@ -158,6 +176,12 @@ struct SweepRun {
 [[nodiscard]] Report fold_report(
     const std::vector<ScenarioSpec>& points,
     std::vector<std::vector<ReplicaResult>> results);
+
+// Run every trial of every point on a `threads`-worker pool (0 =
+// hardware) and fold the report; rows are in `points` order and the bytes
+// do not depend on `threads`.
+[[nodiscard]] Report run_points(const std::vector<ScenarioSpec>& points,
+                                std::size_t threads = 0);
 
 // Collect the non-empty trajectory blobs of this shard's owned slots into
 // store records, (point, trial) order.

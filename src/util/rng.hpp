@@ -87,8 +87,8 @@ class Rng {
   // Keyed, non-mutating stream derivation: the generator for stream
   // `stream_id`, a pure function of (seed, stream_id) — independent of how
   // many values the parent has produced. splitmix64 is a bijection, so
-  // distinct stream ids under one seed never collide. Replica runners
-  // (exp/replica_runner.hpp) key one stream per trial, which is what makes
+  // distinct stream ids under one seed never collide. The sweep drain
+  // (exp/sweep_service.hpp) keys one stream per trial, which is what makes
   // multi-threaded sweeps bit-identical at any thread count.
   [[nodiscard]] constexpr Rng split(std::uint64_t stream_id) const noexcept {
     std::uint64_t s = seed_ ^ stream_id;

@@ -21,11 +21,13 @@
 //                simulator whose fires the cache serves);
 //                forced and nocache are make_sim_engine with the replica's
 //                simulator config plus that one test-only setting.
-// On any failure the suite prints the cell x face coverage table.
+// On any failure the suite prints the cell x face coverage table; a face
+// that throws fails its entry as `THREW: <what>`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <initializer_list>
 #include <iomanip>
 #include <limits>
@@ -117,6 +119,10 @@ const Cell kCells[] = {
     {"exact-majority@n=8:sim=skno:o=2:adv=uo:0.5:burst=inf:steps=64", 0, 1,
      600},
     {"or@n=8:sim=sid:adv=uo:0.5:burst=inf:steps=96"},
+    // RoundSystem's composition split, with enough trials that a 10% bias
+    // in it fails: every agent starts a leader, so the final leader count
+    // tracks how many leaders each round draws.
+    {"leader@n=20:steps=240", 0, 1, 600},
 };
 
 enum class Face { Native, Batch, Auto, Step, Round, Forced, NoCache };
@@ -385,8 +391,16 @@ std::string forced_direction(const Point& p) {
   return start == "count" ? "count->agent" : "agent->count";
 }
 
+// One cell x face entry: the law distance, or what the face (or native,
+// its reference) threw.
+struct Entry {
+  double distance = 0.0;
+  std::string threw;
+  [[nodiscard]] bool failed() const { return !threw.empty() || distance > 1.0; }
+};
+
 std::string coverage_table(const std::vector<Point>& points,
-                           const std::vector<std::map<Face, double>>& dist) {
+                           const std::vector<std::map<Face, Entry>>& dist) {
   std::ostringstream out;
   out << "cell x face coverage (chi2/limit; <= 1 passes, . = n/a)\n";
   out << std::left << std::setw(64) << "cell";
@@ -398,9 +412,11 @@ std::string coverage_table(const std::vector<Point>& points,
       std::ostringstream entry;
       if (const auto it = dist[i].find(f); it == dist[i].end()) {
         entry << ".";
+      } else if (!it->second.threw.empty()) {
+        entry << "THREW: " << it->second.threw << " ";
       } else {
-        entry << (it->second <= 1.0 ? "" : "FAIL ") << std::fixed
-              << std::setprecision(2) << it->second;
+        entry << (it->second.failed() ? "FAIL " : "") << std::fixed
+              << std::setprecision(2) << it->second.distance;
       }
       out << std::setw(10) << entry.str();
     }
@@ -411,7 +427,19 @@ std::string coverage_table(const std::vector<Point>& points,
 
 TEST(Conformance, EveryFaceMatchesNative) {
   const std::vector<Point> points = all_points();
-  std::vector<std::map<Face, double>> distance(points.size());
+  std::vector<std::map<Face, Entry>> table(points.size());
+  // What `body` threw, or empty: a throwing face (a sampler invariant, an
+  // audit failure) fails its entry instead of ending the binary.
+  const auto threw = [](const auto& body) -> std::string {
+    try {
+      body();
+      return {};
+    } catch (const std::exception& e) {
+      return e.what();
+    } catch (...) {
+      return "unknown exception";
+    }
+  };
   // Points are independent (each face's trials are seeded from the point),
   // so a few workers share them; taking them from the table's end starts
   // the dear simulator rows first.
@@ -420,11 +448,21 @@ TEST(Conformance, EveryFaceMatchesNative) {
     for (std::size_t k; (k = taken++) < points.size();) {
       const std::size_t i = points.size() - 1 - k;
       const Point& p = points[i];
-      const Samples native = outcomes(p, Face::Native, 0);
-      for (const Face f : kFaces)
-        if (applies(p, f))
-          distance[i][f] =
+      Samples native;
+      const std::string native_threw =
+          threw([&] { native = outcomes(p, Face::Native, 0); });
+      for (const Face f : kFaces) {
+        if (!applies(p, f)) continue;
+        Entry& e = table[i][f];
+        if (!native_threw.empty()) {
+          e.threw = "native: " + native_threw;
+          continue;
+        }
+        e.threw = threw([&] {
+          e.distance =
               law_distance(native, outcomes(p, f, static_cast<int>(f)));
+        });
+      }
     }
   };
   std::vector<std::thread> workers(
@@ -433,9 +471,9 @@ TEST(Conformance, EveryFaceMatchesNative) {
   work();
   for (std::thread& w : workers) w.join();
   bool failed = false;
-  for (const auto& row : distance)
-    for (const auto& [face, d] : row) failed |= d > 1.0;
-  EXPECT_FALSE(failed) << coverage_table(points, distance);
+  for (const auto& row : table)
+    for (const auto& [face, e] : row) failed |= e.failed();
+  EXPECT_FALSE(failed) << coverage_table(points, table);
 }
 
 TEST(Conformance, TableCoversTheLattice) {

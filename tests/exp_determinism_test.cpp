@@ -9,7 +9,7 @@
 #include <sstream>
 #include <thread>
 
-#include "exp/replica_runner.hpp"
+#include "exp/sweep_service.hpp"
 
 namespace ppfs::exp {
 namespace {
@@ -49,9 +49,7 @@ ScenarioGrid acceptance_grid() {
 
 [[nodiscard]] Report run_with_threads(const ScenarioGrid& grid,
                                       std::size_t threads) {
-  RunnerOptions opt;
-  opt.threads = threads;
-  return ReplicaRunner(opt).run_grid(grid);
+  return run_points(grid.expand(), threads);
 }
 
 TEST(ExpDeterminism, AggregatesAndReplicasBitIdenticalAcrossThreadCounts) {
@@ -119,49 +117,18 @@ TEST(ExpDeterminism, SeedChangesTheWholeSweep) {
   EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
-TEST(ReplicaRunner, ProgressCallbackSeesEveryReplica) {
-  ScenarioGrid g;
-  g.workloads = {"or"};
-  g.sizes = {64};
-  g.engines = {"batch"};
-  g.trials = 8;
-  std::size_t seen = 0;
-  RunnerOptions opt;
-  opt.threads = 2;
-  opt.on_replica = [&](const ScenarioSpec&, std::size_t,
-                       const ReplicaResult& r) {
-    // Serialized by the runner's mutex; a plain counter is safe here.
-    ++seen;
-    EXPECT_FALSE(r.failed());
-  };
-  const Report report = ReplicaRunner(opt).run_grid(g);
-  EXPECT_EQ(seen, 8u);
-  EXPECT_EQ(report.rows().front().aggregate.trials(), 8u);
-}
-
-TEST(ReplicaRunner, FailuresAreRecordedPerReplicaAndCancellable) {
+TEST(ExpDeterminism, FailuresAreRecordedPerReplica) {
   ScenarioSpec bad;
   bad.workload = "no-such-workload";
   bad.n = 16;
   bad.engine = "batch";
   bad.trials = 16;
-  {
-    const ScenarioOutcome out = run_scenario(bad);
-    EXPECT_EQ(out.aggregate.failed(), 16u);
-    EXPECT_EQ(out.aggregate.completed(), 0u);
-    for (const ReplicaResult& r : out.replicas) EXPECT_TRUE(r.failed());
-  }
-  {
-    RunnerOptions opt;
-    opt.threads = 1;  // deterministic scan order for the cancellation check
-    opt.cancel_on_failure = true;
-    const ScenarioOutcome out = ReplicaRunner(opt).run(bad);
-    EXPECT_EQ(out.aggregate.failed(), 16u);
-    // First replica fails for real, the rest are skipped as cancelled.
-    EXPECT_EQ(out.replicas.front().error.rfind("unknown workload", 0), 0u);
-    for (std::size_t t = 1; t < out.replicas.size(); ++t)
-      EXPECT_EQ(out.replicas[t].error, "cancelled");
-  }
+  const Report report = run_points({bad});
+  const ReportRow& row = report.rows().front();
+  EXPECT_EQ(row.aggregate.failed(), 16u);
+  EXPECT_EQ(row.aggregate.completed(), 0u);
+  for (const ReplicaResult& r : row.replicas)
+    EXPECT_EQ(r.error.rfind("unknown workload", 0), 0u) << r.error;
 }
 
 TEST(Report, AnyFailedAndAllConvergedReflectRows) {
@@ -178,7 +145,7 @@ TEST(Report, AnyFailedAndAllConvergedReflectRows) {
   bad.workload = "no-such-workload";
   bad.n = 16;
   bad.trials = 2;
-  const Report mixed = ReplicaRunner().run_points({bad});
+  const Report mixed = run_points({bad});
   EXPECT_TRUE(mixed.any_failed());
 }
 

@@ -10,8 +10,8 @@
 #include <string>
 
 #include "engine/batch/dispatch.hpp"
-#include "exp/replica_runner.hpp"
 #include "exp/scenario.hpp"
+#include "exp/sweep_service.hpp"
 #include "protocols/logic.hpp"
 
 namespace ppfs {
@@ -119,8 +119,8 @@ TEST(Engine, AttachedMetricsDoNotChangeTheTrajectory) {
   exp::ScenarioGrid instrumented = grid;
   instrumented.metrics_every = 256;
 
-  const exp::Report plain = exp::ReplicaRunner().run_grid(grid);
-  const exp::Report traced = exp::ReplicaRunner().run_grid(instrumented);
+  const exp::Report plain = exp::run_points(grid.expand());
+  const exp::Report traced = exp::run_points(instrumented.expand());
   ASSERT_EQ(plain.rows().size(), traced.rows().size());
   for (std::size_t p = 0; p < plain.rows().size(); ++p) {
     const auto& a = plain.rows()[p].replicas;
@@ -149,9 +149,7 @@ TEST(FlightRecorder, SweepTimelinesAreThreadCountInvariant) {
   grid.metrics_every = 512;
 
   auto timelines = [&grid](std::size_t threads) {
-    exp::RunnerOptions opt;
-    opt.threads = threads;
-    const exp::Report rep = exp::ReplicaRunner(opt).run_grid(grid);
+    const exp::Report rep = exp::run_points(grid.expand(), threads);
     std::string all;
     for (const auto& row : rep.rows()) {
       for (std::size_t t = 0; t < row.replicas.size(); ++t) {
@@ -168,7 +166,7 @@ TEST(FlightRecorder, SweepTimelinesAreThreadCountInvariant) {
   EXPECT_EQ(serial, parallel);
 
   // The m.* extras ride the same guarantee.
-  const exp::Report rep = exp::ReplicaRunner().run_grid(grid);
+  const exp::Report rep = exp::run_points(grid.expand());
   for (const auto& row : rep.rows())
     for (const auto& r : row.replicas)
       EXPECT_TRUE(r.extras.count("m.run.interactions"));

@@ -24,6 +24,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace ppfs::exp {
@@ -288,24 +289,51 @@ TEST(SweepShard, TierBInflightResumeIsByteIdentical) {
 
 TEST(SweepShard, CheckpointFileIsMaintainedDuringTheDrain) {
   const char* ck_file = "sweep_shard_test_drain.ck";
-  std::size_t calls = 0;
-  SweepServiceOptions opt;
-  opt.threads = 1;
-  opt.checkpoint_file = ck_file;
-  opt.on_replica = [&](std::size_t done, std::size_t total,
-                       const ScenarioSpec&, std::size_t,
-                       const ReplicaResult&) {
-    ++calls;
-    EXPECT_EQ(done, calls);
-    EXPECT_EQ(total, 20u);  // 4 points x 5 trials
-    // After every completed replica the on-disk checkpoint lists exactly
-    // the replicas completed so far.
-    const SweepCheckpoint ck = decode_checkpoint(bin::read_file(ck_file));
-    EXPECT_EQ(ck.completed.size(), done);
-  };
-  (void)run_sweep_shard(prov_for(0, 1), opt);
-  EXPECT_EQ(calls, 20u);
-  std::remove(ck_file);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    std::size_t calls = 0;
+    SweepServiceOptions opt;
+    opt.threads = threads;
+    opt.checkpoint_file = ck_file;
+    opt.on_replica = [&](std::size_t done, std::size_t total,
+                         const ScenarioSpec&, std::size_t,
+                         const ReplicaResult& r) {
+      // Serialized by the drain's mutex; a plain counter is safe here.
+      ++calls;
+      EXPECT_EQ(done, calls);
+      EXPECT_EQ(total, 20u);  // 4 points x 5 trials
+      EXPECT_FALSE(r.failed()) << r.error;
+      // After every completed replica the on-disk checkpoint lists exactly
+      // the replicas completed so far.
+      const SweepCheckpoint ck = decode_checkpoint(bin::read_file(ck_file));
+      EXPECT_EQ(ck.completed.size(), done);
+    };
+    (void)run_sweep_shard(prov_for(0, 1), opt);
+    EXPECT_EQ(calls, 20u) << "threads=" << threads;
+    std::remove(ck_file);
+  }
+}
+
+TEST(SweepShard, UnwritableCheckpointThrowsAtEveryThreadCount) {
+  // The strict completion-time write fails inside the drain's callback;
+  // the error must reach the caller, from worker threads too.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SweepServiceOptions opt;
+    opt.threads = threads;
+    opt.checkpoint_file = "sweep_shard_test_no_such_dir/sweep.ck";
+    EXPECT_THROW((void)run_sweep_shard(prov_for(0, 1), opt),
+                 std::runtime_error)
+        << "threads=" << threads;
+  }
+}
+
+TEST(SweepShard, ShardOutsideItsCountIsRefused) {
+  // shard_count = 0 and an index past the count both name no slice.
+  for (const auto& [index, count] :
+       {std::pair<std::size_t, std::size_t>{0, 0}, {4, 3}}) {
+    EXPECT_THROW((void)run_sweep_shard(prov_for(index, count), {}),
+                 std::invalid_argument)
+        << "shard " << index << "/" << count;
+  }
 }
 
 TEST(AtomicWriteFile, ConcurrentWritersNeitherTearNorLeaveTempFiles) {
