@@ -98,16 +98,23 @@ void BatchSystem::mark_dirty(State s) const {
   dirty_.push_back(s);
 }
 
+bool BatchSystem::omit_live() const noexcept {
+  return omit_pairs_ && omit_->active(steps_);
+}
+
 void BatchSystem::flush_weights() const {
   if (dirty_.empty()) return;
   PPFS_METRIC(m_weight_refreshes_, add());
+  // Inactivity is absorbing, so an inactive adversary's table is never
+  // read again and stops being kept.
+  const bool omit = omit_live();
   for (const State s : dirty_) {
     dirty_flag_[s] = 0;
     for (const std::uint32_t i : real_pairs_.adj[s]) {
       const auto [ps, pr] = real_pairs_.pairs[i];
       real_pairs_.sampler.set(i, pair_weight(ps, pr));
     }
-    if (omit_pairs_) {
+    if (omit) {
       for (const std::uint32_t i : omit_pairs_->adj[s]) {
         const auto [ps, pr] = omit_pairs_->pairs[i];
         omit_pairs_->sampler.set(i, pair_weight(ps, pr));
@@ -116,13 +123,13 @@ void BatchSystem::flush_weights() const {
   }
   dirty_.clear();
   w_real_ = real_pairs_.sampler.total();
-  w_omit_ = omit_pairs_ ? omit_pairs_->sampler.total() : 0;
+  if (omit) w_omit_ = omit_pairs_->sampler.total();
 }
 
 std::uint64_t BatchSystem::changing_weight(InteractionClass c) const {
   flush_weights();
   if (c == InteractionClass::Real) return w_real_;
-  if (omit_pairs_ && c == omit_class_) return w_omit_;
+  if (omit_live() && c == omit_class_) return w_omit_;
   return audit_changing_weight(c);
 }
 
@@ -161,7 +168,7 @@ void BatchSystem::audit_invariants() const {
                "incremental real changing-weight agrees with rescan",
                audit::expected_got(
                    audit_changing_weight(InteractionClass::Real), w_real_));
-  if (omit_pairs_)
+  if (omit_live())
     audit::check(w_omit_ == audit_changing_weight(omit_class_), kWho,
                  "incremental omissive changing-weight agrees with rescan",
                  audit::expected_got(audit_changing_weight(omit_class_),
@@ -180,7 +187,7 @@ void BatchSystem::audit_invariants() const {
     table.sampler.audit_invariants(name);
   };
   audit_table(real_pairs_, "BatchSystem.real_pairs");
-  if (omit_pairs_) audit_table(*omit_pairs_, "BatchSystem.omit_pairs");
+  if (omit_live()) audit_table(*omit_pairs_, "BatchSystem.omit_pairs");
   if (omit_) omit_->audit_invariants();
 }
 

@@ -105,8 +105,8 @@ class BatchSystem {
 
   // Total weight of count-changing ordered pairs of class `c` —
   // incrementally maintained (dirty-state flush), an O(1) read between
-  // fires. Classes without a live sampler (neither Real nor the attached
-  // adversary's class) fall back to the audit scan.
+  // fires. Classes without a live sampler (neither Real nor the class of
+  // an adversary that is still active) fall back to the audit scan.
   [[nodiscard]] std::uint64_t changing_weight(InteractionClass c) const;
   // Reference O(q^2) rescan of the same quantity, for audits and tests.
   [[nodiscard]] std::uint64_t audit_changing_weight(InteractionClass c)
@@ -126,9 +126,10 @@ class BatchSystem {
 
   // Runtime-contract audit (util/audit.hpp): flush, then check count
   // conservation, incremental-vs-rescan changing-weight agreement for
-  // every live class, per-slot sampler weights against the count vector,
-  // the samplers' own derived structures, and the adversary's budget /
-  // burst state. Cold code, always compiled; engines invoke it at slice
+  // every live class (the omissive one only while the adversary is
+  // active), per-slot sampler weights against the count vector, the
+  // samplers' own derived structures, and the adversary's budget / burst
+  // state. Cold code, always compiled; engines invoke it at slice
   // boundaries under -DPPFS_AUDIT=ON. Throws AuditError.
   void audit_invariants() const;
 
@@ -170,7 +171,11 @@ class BatchSystem {
 
   // Push dirty-state count changes into the samplers (only the pairs
   // adjacent to a dirty state are re-set) and refresh the cached totals.
+  // The omissive table is kept only while omit_live().
   void flush_weights() const;
+  // An adversary is attached and still active. Once false it stays false,
+  // and the omissive table and w_omit_ go stale.
+  [[nodiscard]] bool omit_live() const noexcept;
   void mark_dirty(State s) const;
 
   // Pre-states of a count-changing pair of class `c`, drawn with

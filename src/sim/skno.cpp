@@ -4,6 +4,9 @@
 #include <bit>
 #include <map>
 #include <stdexcept>
+#include <string>
+
+#include "util/audit.hpp"
 
 namespace ppfs {
 
@@ -82,31 +85,86 @@ void SknoCore::mint_joker(Agent& a, Footprint& fp) {
 
 void SknoCore::receive(Agent& a, const std::optional<Token>& tok, Emits* emits,
                        Footprint& fp) {
-  if (tok) {
-    // Joker-debt repayment: a late copy of a token we substituted with a
-    // joker is destroyed and the joker regenerated (token conservation).
-    auto debt = options_.joker_debt
-                    ? std::find_if(
-                          a.joker_debt.begin(), a.joker_debt.end(),
-                          [&](const Token& d) { return d.same_value(*tok); })
-                    : a.joker_debt.end();
-    if (debt != a.joker_debt.end()) {
-      a.joker_debt.erase(debt);
-      a.sending.push_back(Token{Token::Kind::Joker, kNoState, kNoState, 0, 0});
-      ++stats_.debt_conversions;
-      fp.kind = Footprint::Kind::Complex;  // debt entry gone + joker pushed
+  // The agent is at the check fixpoint (see the class comment), so only
+  // what this delivery adds can complete a run.
+  if (!tok) {
+    PPFS_AUDIT_INVOKE(audit_fixpoint(a));
+    return;
+  }
+  // Joker-debt repayment: a late copy of a token we substituted with a
+  // joker is destroyed and the joker regenerated (token conservation).
+  auto debt = options_.joker_debt
+                  ? std::find_if(
+                        a.joker_debt.begin(), a.joker_debt.end(),
+                        [&](const Token& d) { return d.same_value(*tok); })
+                  : a.joker_debt.end();
+  // A joker (minted upstream, forwarded, or regenerated from debt) may
+  // complete any payload; a real token only its own.
+  bool check = true;
+  if (debt != a.joker_debt.end()) {
+    a.joker_debt.erase(debt);
+    a.sending.push_back(Token{Token::Kind::Joker, kNoState, kNoState, 0, 0});
+    ++stats_.debt_conversions;
+    fp.kind = Footprint::Kind::Complex;  // debt entry gone + joker pushed
+  } else {
+    a.sending.push_back(*tok);
+    if (fp.kind == Footprint::Kind::Unchanged) {
+      fp.kind = Footprint::Kind::Appended;
+      fp.appended = *tok;
     } else {
-      a.sending.push_back(*tok);
-      if (fp.kind == Footprint::Kind::Unchanged) {
-        fp.kind = Footprint::Kind::Appended;
-        fp.appended = *tok;
-      } else {
-        fp.kind = Footprint::Kind::Complex;
+      fp.kind = Footprint::Kind::Complex;
+    }
+    check = tok->kind == Token::Kind::Joker || completes_run(a, *tok);
+  }
+  note_queue_size(a);
+  if (check) run_checks(a, emits, fp);
+  else PPFS_AUDIT_INVOKE(audit_fixpoint(a));
+}
+
+bool SknoCore::completes_run(const Agent& a, const Token& t) {
+  // The payloads the checks look at in the agent's mode: pending — the
+  // own state run (cancel) and change runs ⟨(own, *)⟩; available — any
+  // state run.
+  if (a.pending ? t.q != a.sim_state : t.kind != Token::Kind::StateRun)
+    return false;
+  const std::uint32_t top = static_cast<std::uint32_t>(o_) + 1;
+  if (a.sending.size() < top) return false;  // too few tokens for any run
+  std::size_t jokers = 0;
+  std::uint32_t have = 0;
+  const auto same_payload = [&](const Token& u) {
+    return u.kind == t.kind && u.q == t.q && u.qr == t.qr && u.index >= 1 &&
+           u.index <= top;
+  };
+  if (top <= kMaskIndices) {
+    std::uint64_t mask = 0;
+    for (const Token& u : a.sending) {
+      if (u.kind == Token::Kind::Joker) ++jokers;
+      else if (same_payload(u)) mask |= std::uint64_t{1} << u.index;
+    }
+    have = static_cast<std::uint32_t>(std::popcount(mask));
+  } else {
+    auto& seen = scratch_taken_;
+    seen.assign(top + 1, 0);
+    for (const Token& u : a.sending) {
+      if (u.kind == Token::Kind::Joker) ++jokers;
+      else if (same_payload(u) && !seen[u.index]) {
+        seen[u.index] = 1;
+        ++have;
       }
     }
-    note_queue_size(a);
   }
-  run_checks(a, emits, fp);
+  return have > 0 && top - have <= jokers;
+}
+
+void SknoCore::audit_fixpoint(const Agent& a) const {
+  SknoCore probe = *this;
+  Agent copy = a;
+  Footprint fp;
+  if (!probe.run_checks(copy, nullptr, fp)) return;
+  throw AuditError("SknoCore", "a check can consume a run after an operation",
+                   "pending " + std::to_string(a.pending) + ", sim_state " +
+                       std::to_string(a.sim_state) + ", " +
+                       std::to_string(a.sending.size()) + " queued tokens");
 }
 
 // Tokens of identical value are interchangeable, so which instances a
@@ -220,7 +278,7 @@ SknoCore::Consumed SknoCore::consume_run(Agent& a, Token::Kind kind, State q,
   return Consumed{primary, q, qr};
 }
 
-void SknoCore::run_checks(Agent& a, Emits* emits, Footprint& fp) {
+bool SknoCore::run_checks(Agent& a, Emits* emits, Footprint& fp) {
   bool acted = true;
   bool any = false;
   while (acted) {
@@ -271,6 +329,7 @@ void SknoCore::run_checks(Agent& a, Emits* emits, Footprint& fp) {
   // list and sim_state) wholesale: the successor is built by full
   // re-serialization, not by patching.
   if (any) fp.kind = Footprint::Kind::Complex;
+  return any;
 }
 
 void SknoCore::step(Agent& starter, Agent& reactor, bool omissive, OmitSide side,

@@ -57,6 +57,20 @@ namespace ppfs {
 
 // The value-level SKnO token machinery, shared by the step-wise
 // SknoSimulator and the count-space SknoRuleSource (sim/sim_rules.hpp).
+//
+// Fixpoint invariant: after every SknoCore operation, no check that
+// applies in the agent's mode can consume a run. run_checks loops until
+// nothing fires, and apply_g only pops tokens (its refill happens on an
+// empty queue and leaves the own run's indices 2..o+1, which cannot
+// complete without a joker). So receive() checks only what the delivery
+// adds: nothing received acts on nothing, and a real token that is not a
+// debt conversion can complete only its own payload — the full checks run
+// when that payload is completable, and then it is the first completable
+// candidate, so the canonical choice is the full search's. Jokers (minted,
+// forwarded or converted from debt) can complete any payload and always
+// take the full checks. Agents start available with empty queues, which
+// is a fixpoint; a record built by hand must be one too. Under
+// -DPPFS_AUDIT=ON every skipped check is verified by audit_fixpoint().
 class SknoCore {
  public:
   struct Token {
@@ -165,6 +179,12 @@ class SknoCore {
     receive(a, tok, nullptr, fp);
   }
 
+  // Throws AuditError if a check applying in `a`'s mode would consume a
+  // run — i.e. if `a` is not at the fixpoint the class comment states.
+  // Runs the full checks on copies; the audit hook in receive() calls it
+  // wherever a check is skipped.
+  void audit_fixpoint(const Agent& a) const;
+
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t omission_bound() const noexcept { return o_; }
   [[nodiscard]] Model model() const noexcept { return model_; }
@@ -178,11 +198,16 @@ class SknoCore {
   std::optional<Token> apply_g(Agent& a, Footprint& fp);
 
   // Reactor receives a token (or nothing) and runs the preliminary + core
-  // checks of §4.1.
+  // checks of §4.1 that the token can make succeed.
   void receive(Agent& a, const std::optional<Token>& tok, Emits* emits,
                Footprint& fp);
+  // Whether real token `t`, just appended to `a.sending`, completes its
+  // payload's run in a check that applies in `a`'s mode.
+  bool completes_run(const Agent& a, const Token& t);
   void mint_joker(Agent& a, Footprint& fp);
-  void run_checks(Agent& a, Emits* emits, Footprint& fp);
+  // The preliminary + core checks, repeated until none fires; returns
+  // whether any did.
+  bool run_checks(Agent& a, Emits* emits, Footprint& fp);
 
   // Searches `a.sending` for a complete run (indices 1..o+1) of the given
   // kind/value, using jokers for missing indices (at least one real token

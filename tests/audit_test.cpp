@@ -4,7 +4,8 @@
 // the real bug classes each audit exists to catch — a skipped dirty-state
 // flush, a rehash that double-places an id, a release that bypasses cache
 // invalidation, an adversary overrunning its budget, an MVHG split that
-// stops recomposing the round. AuditTestPeer reaches the private state;
+// stops recomposing the round, a SKnO record left holding a run a check
+// would consume. AuditTestPeer reaches the private state;
 // the audit methods themselves are compiled in every build configuration,
 // so this suite runs with and without -DPPFS_AUDIT=ON.
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "protocols/registry.hpp"
 #include "sched/omission_process.hpp"
 #include "sim/sim_rules.hpp"
+#include "sim/skno.hpp"
 #include "util/audit.hpp"
 #include "util/rng.hpp"
 
@@ -307,6 +309,34 @@ TEST(RoundSystemAudit, FiresOnSplitThatStopsRecomposing) {
   EXPECT_NO_THROW(AuditTestPeer::audit_round(round, len, k_om));
   AuditTestPeer::corrupt_round_split(round);
   EXPECT_THROW(AuditTestPeer::audit_round(round, len, k_om), AuditError);
+}
+
+TEST(SknoCoreAudit, FiresOnARunLeftUnconsumed) {
+  using Token = SknoCore::Token;
+  auto p = make_exact_majority();
+  SknoCore core(p.get(), Model::I3, 1, {}, /*track_provenance=*/false);
+  const Token change{Token::Kind::ChangeRun, 0, 1, 1, 0};
+  // Healthy: an available agent holding half of a state run is at the
+  // check fixpoint, and an unrelated delivery leaves it there.
+  SknoCore::Agent a;
+  a.sim_state = 1;
+  a.sending = {Token{Token::Kind::StateRun, 0, kNoState, 1, 0}};
+  EXPECT_NO_THROW(core.audit_fixpoint(a));
+  SknoCore::Footprint fp;
+  EXPECT_NO_THROW(core.receive_one(a, change, fp));
+  // Corrupted: the whole run <0,1..2> sits in the queue, which no
+  // operation leaves behind — the available-agent check would consume it.
+  SknoCore::Agent b;
+  b.sim_state = 1;
+  b.sending = {Token{Token::Kind::StateRun, 0, kNoState, 1, 0},
+               Token{Token::Kind::StateRun, 0, kNoState, 2, 0}};
+  EXPECT_THROW(core.audit_fixpoint(b), AuditError);
+#if PPFS_AUDIT
+  // The delivery hook: the change token cannot complete anything, so
+  // receive() skips the checks, and the audit catches the run it skipped.
+  fp = {};
+  EXPECT_THROW(core.receive_one(b, change, fp), AuditError);
+#endif
 }
 
 }  // namespace

@@ -88,6 +88,24 @@ struct SknoCoreTestPeer {
   }
 
   static void use_reference(SknoCore& core) { core.consume_ = &reference; }
+
+  // The full checks on a copy of `a`, with the reference search on a copy
+  // of `core`: whether any check that applies in `a`'s mode consumes a run.
+  static bool full_check_consumes(const SknoCore& core,
+                                  const SknoCore::Agent& a) {
+    SknoCore probe = core;
+    use_reference(probe);
+    SknoCore::Agent copy = a;
+    SknoCore::Footprint fp;
+    return probe.run_checks(copy, nullptr, fp);
+  }
+
+  // Runs the full checks on `a` until none fires, bringing a hand-built
+  // record to the fixpoint every SknoCore operation leaves behind.
+  static void settle(SknoCore& core, SknoCore::Agent& a) {
+    SknoCore::Footprint fp;
+    core.run_checks(a, nullptr, fp);
+  }
 };
 
 namespace {
@@ -241,6 +259,31 @@ TEST(SknoUnit, I4FullTransitionDespiteOmission) {
   sim.interact(Interaction{0, 1, false});
   sim.interact(Interaction{0, 1, false});
   EXPECT_EQ(sim.simulated_state(1), st.critical);
+}
+
+TEST(SknoUnit, ForwardedJokerCompletesPendingChangeRun) {
+  // o = 1. p0 hands its state run to c1, which answers with the change run
+  // <(p,c),1..2>. <(p,c),1> reaches p0; <(p,c),2> dies in an omission
+  // whose joker c2 mints. c2, available with only that joker queued,
+  // forwards it to p0, where it fills index 2: a joker that was not minted
+  // at the receiver still completes a run.
+  const auto st = pairing_states();
+  SknoSimulator sim(pairing(), Model::I3, 1,
+                    {st.producer, st.consumer, st.consumer});
+  sim.interact(Interaction{0, 1, false});
+  sim.interact(Interaction{0, 1, false});  // c1: reactor half, change run queued
+  ASSERT_EQ(sim.simulated_state(1), st.critical);
+  sim.interact(Interaction{1, 0, false});  // <(p,c),1> reaches p0
+  ASSERT_TRUE(sim.is_pending(0));
+  sim.interact(Interaction{1, 2, true});   // <(p,c),2> lost; c2 mints a joker
+  ASSERT_EQ(sim.queue_size(2), 1u);
+  ASSERT_FALSE(sim.is_pending(2));
+  sim.interact(Interaction{2, 0, false});  // c2 forwards the joker to p0
+  EXPECT_FALSE(sim.is_pending(0));
+  EXPECT_EQ(sim.simulated_state(0), st.bottom);
+  EXPECT_EQ(sim.stats().change_runs_consumed, 1u);
+  EXPECT_EQ(sim.stats().jokers_used, 1u);
+  EXPECT_EQ(sim.queue_size(0), 0u);
 }
 
 TEST(SknoUnit, TokenConservationOnScriptedTrace) {
@@ -400,6 +443,12 @@ TEST(SknoRunSearch, MatchesReferenceOnRandomQueues) {
       SknoCore::Agent r = random_agent(rng, o);
       SknoCore::Agent s_ref = s;
       SknoCore::Agent r_ref = r;
+      // step() expects agents at the check fixpoint: settle each copy with
+      // its own search first, which compares the two searches as well.
+      SknoCoreTestPeer::settle(fast, s);
+      SknoCoreTestPeer::settle(fast, r);
+      SknoCoreTestPeer::settle(ref, s_ref);
+      SknoCoreTestPeer::settle(ref, r_ref);
       const bool omissive = rng.below(4) == 0;
       SknoCore::Emits se, re, se_ref, re_ref;
       fast.step(s, r, omissive, OmitSide::Both, &se, &re);
@@ -418,6 +467,73 @@ TEST(SknoRunSearch, MatchesReferenceOnRandomQueues) {
     EXPECT_GT(consumed, 100u) << "o=" << o;
     if (o >= 1) {
       EXPECT_GT(ref.stats().jokers_used, 0u) << "o=" << o;
+    }
+  }
+}
+
+// --- the check fixpoint -----------------------------------------------------
+
+// receive() runs only the checks the delivered token can make succeed.
+// That is exact only if every SknoCore operation leaves the agents it
+// touched at the check fixpoint. Random drives over every model and
+// omission side, both debt settings and bounds on both sides of the
+// one-word mask assert it after every step, with the reference search.
+TEST(SknoFixpoint, NoCheckCanConsumeAfterAnyStep) {
+  const auto protocol = pairing();
+  struct Cell {
+    Model model;
+    OmitSide side;
+  };
+  const Cell cells[] = {{Model::I3, OmitSide::Both},
+                        {Model::I4, OmitSide::Both},
+                        {Model::T3, OmitSide::Starter},
+                        {Model::T3, OmitSide::Reactor},
+                        {Model::IT, OmitSide::Both}};
+  constexpr std::size_t kAgents = 4;
+  for (const Cell& cell : cells) {
+    for (const bool debt : {true, false}) {
+      for (const std::size_t o : {0, 1, 2, 8, 70}) {
+        if (cell.model == Model::IT && o != 0) continue;  // IT is o = 0 only
+        const std::string where =
+            model_name(cell.model) + " side " +
+            std::to_string(static_cast<int>(cell.side)) + " debt " +
+            std::to_string(debt) + " o=" + std::to_string(o);
+        std::uint64_t consumed = 0;
+        std::uint64_t jokers_used = 0;
+        for (std::uint64_t seed = 0; seed < 6; ++seed) {
+          SknoCore core(protocol.get(), cell.model, o, {debt}, true);
+          Rng rng(9100 + 31 * seed + o);
+          std::vector<SknoCore::Agent> agents(kAgents);
+          for (auto& a : agents)
+            a.sim_state = static_cast<State>(rng.below(protocol->num_states()));
+          for (int step = 0; step < 800; ++step) {
+            const auto s = static_cast<std::size_t>(rng.below(kAgents));
+            auto r = static_cast<std::size_t>(rng.below(kAgents - 1));
+            if (r >= s) ++r;
+            const bool omissive =
+                cell.model != Model::IT && rng.below(6) == 0;
+            core.step(agents[s], agents[r], omissive, cell.side, nullptr,
+                      nullptr);
+            for (const std::size_t i : {s, r})
+              ASSERT_FALSE(SknoCoreTestPeer::full_check_consumes(core, agents[i]))
+                  << where << " seed " << seed << " step " << step
+                  << " agent " << i;
+          }
+          consumed += core.stats().state_runs_consumed +
+                      core.stats().change_runs_consumed + core.stats().cancels;
+          jokers_used += core.stats().jokers_used;
+        }
+        // The drive must reach run completions, and joker substitutions
+        // wherever omissions mint jokers (a T3 starter-side omission is a
+        // fault-free delivery) into runs with room for them.
+        EXPECT_GT(consumed, 0u) << where;
+        const bool mints = cell.model != Model::IT &&
+                           !(cell.model == Model::T3 &&
+                             cell.side == OmitSide::Starter);
+        if (mints && o >= 1) {
+          EXPECT_GT(jokers_used, 0u) << where;
+        }
+      }
     }
   }
 }
