@@ -26,6 +26,10 @@
 #include "util/table.hpp"
 #include "verify/matching.hpp"
 
+#if __has_include("ppfs_git_commit.hpp")
+#include "ppfs_git_commit.hpp"  // PPFS_GIT_COMMIT, written at build time
+#endif
+
 namespace ppfs::bench {
 
 // Deterministic seeding sweep: the PPFS_SEED environment variable, when set
@@ -168,8 +172,9 @@ class JsonReport {
 
   // Build provenance: perf numbers are only comparable across PRs when the
   // toolchain and build mode are pinned alongside them. The macros come
-  // from CMake (per-bench-target compile definitions); a build outside
-  // CMake degrades to "unknown" instead of breaking.
+  // from CMake (per-bench-target compile definitions, and the commit from
+  // the header the ppfs_git_stamp target writes at build time); a build
+  // outside CMake degrades to "unknown" instead of breaking.
   [[nodiscard]] static std::string provenance_json() {
 #ifdef PPFS_GIT_COMMIT
     const char* commit = PPFS_GIT_COMMIT;

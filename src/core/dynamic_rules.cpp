@@ -392,20 +392,61 @@ void OutcomeCache::audit_live_outputs(
   }
 }
 
+namespace {
+
+constexpr std::size_t kBlock = 16;
+
+// Whether p[0..kBlock) all equal s; compiled without a branch per element.
+bool uniform_block(const State* p, State s) {
+  State diff = 0;
+  for (std::size_t k = 0; k < kBlock; ++k) diff |= p[k] ^ s;
+  return diff == 0;
+}
+
+}  // namespace
+
 std::vector<std::pair<State, std::size_t>> first_appearance_groups(
     const std::vector<State>& states, std::size_t q, const char* who) {
-  constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
-  std::vector<std::pair<State, std::size_t>> groups;
-  std::vector<std::size_t> slot(q, kUnseen);  // state -> index in groups
-  for (const State s : states) {
-    if (s >= q)
-      throw std::invalid_argument(std::string(who) +
-                                  ": initial state out of range");
-    if (slot[s] == kUnseen) {
-      slot[s] = groups.size();
-      groups.emplace_back(s, 0);
+  // Initial populations are a few long runs of one state. One increment
+  // per agent would chain every add through the same counter, so a block
+  // of one state is added at once, and mixed blocks spread their adds over
+  // four interleaved tallies. Slot q of each tally counts out-of-range
+  // states.
+  constexpr std::size_t kWays = 4;
+  const std::size_t stride = q + 1;
+  std::vector<std::size_t> tally(kWays * stride, 0);
+  const State* p = states.data();
+  const std::size_t n = states.size();
+  const auto bucket = [q](State s) { return s < q ? s : q; };
+  std::size_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    if (uniform_block(p + i, p[i])) {
+      tally[bucket(p[i])] += kBlock;
+      continue;
     }
-    ++groups[slot[s]].second;
+    for (std::size_t k = 0; k < kBlock; ++k)
+      ++tally[(k % kWays) * stride + bucket(p[i + k])];
+  }
+  for (; i < n; ++i) ++tally[bucket(p[i])];
+  // ppfs-lint: allow(weight-mul): an index below kWays * (q + 1).
+  for (std::size_t s = 0; s <= q; ++s)
+    for (std::size_t w = 1; w < kWays; ++w) tally[s] += tally[w * stride + s];
+  if (tally[q] != 0)
+    throw std::invalid_argument(std::string(who) +
+                                ": initial state out of range");
+  // Order by first appearance: walk run by run until every agent is
+  // accounted for.
+  std::vector<std::pair<State, std::size_t>> groups;
+  std::size_t left = n;
+  for (std::size_t j = 0; left > 0;) {
+    const State s = p[j];
+    if (tally[s] != 0) {
+      groups.emplace_back(s, tally[s]);
+      left -= tally[s];
+      tally[s] = 0;
+    }
+    while (j + kBlock <= n && uniform_block(p + j, s)) j += kBlock;
+    while (j < n && p[j] == s) ++j;
   }
   return groups;
 }

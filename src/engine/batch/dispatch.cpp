@@ -731,11 +731,8 @@ std::unique_ptr<Engine> build_from_counts(
 std::vector<std::size_t> count_initial(const std::vector<State>& initial,
                                        std::size_t q) {
   std::vector<std::size_t> counts(q, 0);
-  for (const State s : initial) {
-    if (s >= q)
-      throw std::invalid_argument("make_engine: initial state out of range");
-    ++counts[s];
-  }
+  for (const auto& [s, k] : first_appearance_groups(initial, q, "make_engine"))
+    counts[s] = k;
   return counts;
 }
 

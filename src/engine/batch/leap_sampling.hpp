@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "engine/batch/configuration.hpp"
 #include "obs/metrics.hpp"
@@ -407,10 +408,33 @@ void advance(System& sys, std::size_t budget, Rng& rng, BatchDelta& d) {
 
 namespace detail {
 
+// Integer arguments up to this are served from a table (log_gamma).
+inline constexpr std::size_t kLogGammaTableMax = std::size_t{1} << 16;
+
+// lgamma_r(x) for x = 0..kLogGammaTableMax (entry 0 is unused), filled
+// once on first use; the static's initialization is thread-safe.
+inline const std::vector<double>& log_gamma_table() {
+  static const std::vector<double> table = [] {
+    std::vector<double> t(kLogGammaTableMax + 1, 0.0);
+    for (std::size_t x = 1; x <= kLogGammaTableMax; ++x) {
+      int sign = 0;
+      t[x] = ::lgamma_r(static_cast<double>(x), &sign);
+    }
+    return t;
+  }();
+  return table;
+}
+
 // log Γ(x). std::lgamma also stores Γ's sign in the global `signgam`, a
 // data race between replicas on a sweep's worker threads; lgamma_r hands
 // the sign back through its argument and computes the same value.
+// Integers 1..kLogGammaTableMax come from log_gamma_table, bit-identical
+// to lgamma_r: every lchoose on round-sized arguments (<= 2l) is a lookup.
 inline double log_gamma(double x) {
+  if (x >= 1.0 && x <= static_cast<double>(kLogGammaTableMax)) {
+    const auto k = static_cast<std::size_t>(x);
+    if (static_cast<double>(k) == x) return log_gamma_table()[k];
+  }
   int sign = 0;
   return ::lgamma_r(x, &sign);
 }
@@ -583,22 +607,65 @@ inline std::size_t sample_round_length(std::uint64_t n, Rng& rng,
     return max_len;
   }
   // One uniform inverted through the monotone survival function in log
-  // space: L is the unique i with S(i+1) <= u < S(i).
+  // space: L is the unique i with S(i+1) <= u < S(i), found by bisection
+  // on the floating-point ls(i) > lu. At n = 10^9 lgamma(n+1) ~ 2·10^10
+  // carries an ulp of ~4·10^-6, more than ls moves between neighbouring
+  // i, so the computed ls is not monotone there and another search path
+  // could land on a different i. The path stays this bisection; only the
+  // test at each midpoint is cheaper.
   double u = rng.uniform();
   if (u <= 0.0) u = 0x1.0p-53;
   const double lu = std::log(u);
-  const double lg_n = detail::log_gamma(static_cast<double>(n) + 1.0);
+  const double dn = static_cast<double>(n);
   const double lt = std::log(static_cast<double>(t));
+  double lg_n = -1.0;  // lgamma(n+1), computed on first use
   const auto ls = [&](std::size_t i) {
+    if (lg_n < 0.0) lg_n = detail::log_gamma(dn + 1.0);
     return lg_n - detail::log_gamma(static_cast<double>(n - 2 * i) + 1.0) -
            static_cast<double>(i) * lt;
   };
-  if (ls(max_len) > lu) return max_len;
+  // ln S(i) = sum_{j<i} ln(1 - a_j) + ln(1 - b_j), a_j = 2j/n,
+  // b_j = 2j/(n-1), all <= x_i = 2(i-1)/(n-1). With
+  //   -y - y^2/(2(1-y)) <= ln(1-y) <= -y - y^2/2    (0 <= y < 1),
+  // A = sum(a_j + b_j) = i(i-1)(1/n + 1/(n-1)) and
+  // Q = sum(a_j^2 + b_j^2) = (2/3)(i-1)i(2i-1)(1/n^2 + 1/(n-1)^2):
+  //   U(i) = -A - Q/2 >= ln S(i) >= -A - Q/(2(1-x_i)) = L(i).
+  // Where a bound clears lu by more than err(i), the floating-point ls(i)
+  // lies on the same side of lu, so the midpoint is decided without it.
+  // err(i) bounds |ls(i) - ln S(i)| plus the rounding of the bounds, in
+  // units of e = 2^-52 (ulp(y) <= e·|y|; one rounding <= e/2 relative),
+  // taking lgamma_r and log within 4 ulp (glibc documents a few):
+  //   lgamma(n+1) and lgamma(n-2i+1):   4e·lg_n each;
+  //   their difference:                 e·lg_n;
+  //   lt: t rounds to double (<= e absolute after the log), then log
+  //       (4e·lt), so i·lt is off by <= 5e·i·lt, plus e·i·lt rounding;
+  //   the last subtraction:             e·(lg_n + i·lt);
+  //   U(i), <= 12 roundings:            7e·|U| <= 7e·i·lt (|U| <= |ln S|);
+  //   L(i), used only above lu >= ln 2^-53 > -37: 8e·37.
+  // Total <= 10e·lg_n + 14e·i·lt + 300e, with lg_n <= n·ln n
+  // <= n·lt/2 + 1. err(i) = 2^-46·(n·lt/2 + i·lt + 8) = 64e·(...) covers
+  // that over four times. The margin only sends more midpoints to ls(i);
+  // it never changes an answer.
+  const double inv_n1 = 1.0 / (dn - 1.0);
+  const double s1 = 1.0 / dn + inv_n1;
+  const double s2 = 1.0 / (dn * dn) + inv_n1 * inv_n1;
+  const double lg_bound = dn * lt * 0.5 + 1.0;
+  const auto above = [&](std::size_t i) {  // == (ls(i) > lu)
+    const double di = static_cast<double>(i);
+    const double err = 0x1.0p-46 * (lg_bound + di * lt + 8.0);
+    const double a = di * (di - 1.0) * s1;
+    const double q = (2.0 / 3.0) * (di - 1.0) * di * (2.0 * di - 1.0) * s2;
+    if (-a - 0.5 * q + err < lu) return false;
+    const double x = 2.0 * (di - 1.0) * inv_n1;
+    if (-a - q / (2.0 * (1.0 - x)) - err > lu) return true;
+    return ls(i) > lu;
+  };
+  if (above(max_len)) return max_len;
   std::size_t lo = 1;  // ls(1) = 0 > lu, so the invariant holds
   std::size_t hi = max_len;
   while (hi - lo > 1) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    (ls(mid) > lu ? lo : hi) = mid;
+    (above(mid) ? lo : hi) = mid;
   }
   return lo;
 }

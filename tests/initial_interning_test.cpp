@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -147,6 +148,39 @@ TEST(InitialInterning, RejectsOutOfRangeStates) {
   std::vector<State> sim(kN, 0);
   sim[7] = static_cast<State>(p->num_states());
   EXPECT_THROW((void)rules.intern_initial_groups(sim), std::invalid_argument);
+}
+
+// first_appearance_groups adds whole blocks of one state at once and
+// spreads mixed blocks over several tallies; neither may show. Layouts of
+// random runs (short and long, so blocks are uniform, mixed and cut by
+// the tail) must give the agent-by-agent groups, and an out-of-range
+// state anywhere must throw.
+TEST(InitialInterning, FirstAppearanceGroupsEqualAgentByAgentCounts) {
+  constexpr std::size_t q = 5;
+  Rng rng(2026);
+  for (std::size_t trial = 0; trial < 300; ++trial) {
+    std::vector<State> states;
+    const std::size_t runs = rng.below(12);
+    for (std::size_t r = 0; r < runs; ++r)
+      states.insert(states.end(), 1 + rng.below(rng.chance(0.5) ? 4 : 80),
+                    static_cast<State>(rng.below(q)));
+    std::vector<std::pair<State, std::size_t>> want;
+    for (const State s : states) {
+      const auto it = std::find_if(want.begin(), want.end(),
+                                   [s](const auto& g) { return g.first == s; });
+      if (it == want.end()) want.emplace_back(s, 1);
+      else ++it->second;
+    }
+    EXPECT_EQ(first_appearance_groups(states, q, "test"), want);
+    if (states.empty()) continue;
+    states[rng.below(states.size())] = static_cast<State>(q + rng.below(3));
+    try {
+      (void)first_appearance_groups(states, q, "test");
+      ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "test: initial state out of range");
+    }
+  }
 }
 
 }  // namespace
