@@ -12,6 +12,7 @@
 //                   [--resume=FILE] [--traj-out=FILE] [--traj-every=N]
 //          ppfs_cli --merge PARTIAL... [--out=FMT] [--out-file=PATH]
 //                   [--metrics-out=FILE] [--traj-out=FILE]
+//     (the --sweep= form takes its flags before or after --sweep=GRID)
 //
 //     workload   or | and | approx-majority | exact-majority | leader |
 //                threshold-true | threshold-false | mod | pairing
@@ -109,6 +110,7 @@
 //         exact-majority 1e6 42   (one command line)
 //     ppfs_cli --engine=batch --simulate=skno:o=2            (n = 50 SKnO)
 //     ppfs_cli --engine=auto --simulate=sid or 64 7
+#include <algorithm>
 #include <optional>
 #include <iostream>
 #include <sstream>
@@ -521,10 +523,19 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("bad value '" + v + "' for " + flag);
       return std::stoull(v);
     };
-    if (!args.empty() && args[0].rfind("--sweep=", 0) == 0) {
+    // Its flags may stand before or after the --sweep= argument.
+    const auto is_sweep = [](const std::string& a) {
+      return a.rfind("--sweep=", 0) == 0;
+    };
+    const auto sweep_at = static_cast<std::size_t>(
+        std::find_if(args.begin(), args.end(), is_sweep) - args.begin());
+    if (sweep_at < args.size()) {
       SweepCliOptions cli;
-      cli.grid_text = args[0].substr(8);
-      for (std::size_t pos = 1; pos < args.size(); ++pos) {
+      cli.grid_text = args[sweep_at].substr(8);
+      for (std::size_t pos = 0; pos < args.size(); ++pos) {
+        if (pos == sweep_at) continue;
+        if (is_sweep(args[pos]))
+          return usage("--sweep given more than once");
         if (args[pos].rfind("--trials=", 0) == 0)
           cli.trials = parse_count("--trials", args[pos].substr(9));
         else if (args[pos].rfind("--threads=", 0) == 0)

@@ -411,43 +411,44 @@ std::vector<std::pair<State, std::size_t>> first_appearance_groups(
   // per agent would chain every add through the same counter, so a block
   // of one state is added at once, and mixed blocks spread their adds over
   // four interleaved tallies. Slot q of each tally counts out-of-range
-  // states.
+  // states. The same pass notes each bucket's first appearance, so the
+  // vector is read once.
   constexpr std::size_t kWays = 4;
   const std::size_t stride = q + 1;
   std::vector<std::size_t> tally(kWays * stride, 0);
+  std::vector<std::uint8_t> seen(stride, 0);
+  std::vector<std::pair<State, std::size_t>> groups;  // counts filled last
   const State* p = states.data();
   const std::size_t n = states.size();
   const auto bucket = [q](State s) { return s < q ? s : q; };
+  const auto note = [&](std::size_t b) {
+    if (seen[b]) return;
+    seen[b] = 1;
+    groups.emplace_back(static_cast<State>(b), 0);
+  };
   std::size_t i = 0;
   for (; i + kBlock <= n; i += kBlock) {
     if (uniform_block(p + i, p[i])) {
+      note(bucket(p[i]));
       tally[bucket(p[i])] += kBlock;
       continue;
     }
-    for (std::size_t k = 0; k < kBlock; ++k)
+    for (std::size_t k = 0; k < kBlock; ++k) {
+      note(bucket(p[i + k]));
       ++tally[(k % kWays) * stride + bucket(p[i + k])];
+    }
   }
-  for (; i < n; ++i) ++tally[bucket(p[i])];
+  for (; i < n; ++i) {
+    note(bucket(p[i]));
+    ++tally[bucket(p[i])];
+  }
   // ppfs-lint: allow(weight-mul): an index below kWays * (q + 1).
   for (std::size_t s = 0; s <= q; ++s)
     for (std::size_t w = 1; w < kWays; ++w) tally[s] += tally[w * stride + s];
   if (tally[q] != 0)
     throw std::invalid_argument(std::string(who) +
                                 ": initial state out of range");
-  // Order by first appearance: walk run by run until every agent is
-  // accounted for.
-  std::vector<std::pair<State, std::size_t>> groups;
-  std::size_t left = n;
-  for (std::size_t j = 0; left > 0;) {
-    const State s = p[j];
-    if (tally[s] != 0) {
-      groups.emplace_back(s, tally[s]);
-      left -= tally[s];
-      tally[s] = 0;
-    }
-    while (j + kBlock <= n && uniform_block(p + j, s)) j += kBlock;
-    while (j < n && p[j] == s) ++j;
-  }
+  for (auto& [s, k] : groups) k = tally[s];
   return groups;
 }
 

@@ -8,7 +8,10 @@
 //     (the draw descends on rng.below(total), never touching floating
 //     point). This is the update-heavy face: in dense regimes every fire
 //     dirties up to four states, so weights change between most draws
-//     and an alias table would be rebuilt for a single use.
+//     and an alias table would be rebuilt for a single use. The tree sums
+//     blocks of kBlock slots, and a draw ends with a scan of one block:
+//     a set() then touches log(k / kBlock) nodes, and the few-slot tables
+//     of small protocols (exact-majority has 6) keep one node in all.
 //   * Alias table — O(1) draws, O(k) rebuild, exact integer thresholds
 //     (Vose's method run on w_i * k against bucket capacity W = total;
 //     the build intermediates need unsigned __int128 because W can reach
@@ -29,6 +32,7 @@
 // needed to reproduce it instead of a bare logic_error string.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -93,13 +97,17 @@ class DynamicPairSampler {
   DynamicPairSampler() = default;
   explicit DynamicPairSampler(std::size_t k) { reset(k); }
 
+  // Slots per Fenwick leaf block.
+  static constexpr std::size_t kBlock = 8;
+
   // Reinitialize to k slots of weight 0.
   void reset(std::size_t k) {
     w_.assign(k, 0);
-    tree_.assign(k + 1, 0);
+    const std::size_t blocks = (k + kBlock - 1) / kBlock;
+    tree_.assign(blocks + 1, 0);
     total_ = 0;
     top_ = 1;
-    while (top_ * 2 <= k) top_ *= 2;
+    while (top_ * 2 <= blocks) top_ *= 2;
     alias_valid_ = false;
     draws_since_update_ = 0;
   }
@@ -117,7 +125,8 @@ class DynamicPairSampler {
     w_[i] = w;
     total_ += w - old;  // u64 wraparound carries the signed delta exactly
     const std::uint64_t delta = w - old;
-    for (std::size_t j = i + 1; j <= tree_.size() - 1; j += j & (0 - j))
+    const std::size_t blocks = tree_.size() - 1;
+    for (std::size_t j = i / kBlock + 1; j <= blocks; j += j & (0 - j))
       tree_[j] += delta;
     alias_valid_ = false;
     draws_since_update_ = 0;
@@ -153,10 +162,12 @@ class DynamicPairSampler {
     audit::check(sum == static_cast<unsigned __int128>(total_), who,
                  "total() == sum of slot weights",
                  audit::expected_got(static_cast<std::uint64_t>(sum), total_));
-    std::vector<std::uint64_t> ref(k + 1, 0);
+    const std::size_t blocks = tree_.size() - 1;
+    std::vector<std::uint64_t> ref(blocks + 1, 0);
     for (std::size_t i = 0; i < k; ++i)
-      for (std::size_t j = i + 1; j <= k; j += j & (0 - j)) ref[j] += w_[i];
-    for (std::size_t j = 1; j <= k; ++j)
+      for (std::size_t j = i / kBlock + 1; j <= blocks; j += j & (0 - j))
+        ref[j] += w_[i];
+    for (std::size_t j = 1; j <= blocks; ++j)
       audit::check(ref[j] == tree_[j], who,
                    "Fenwick node agrees with rebuild from weights",
                    "node " + std::to_string(j) + ": " +
@@ -213,20 +224,26 @@ class DynamicPairSampler {
  private:
   friend struct AuditTestPeer;  // mutation-smoke state corruption (tests)
 
-  // Fenwick descent: smallest i with prefix(i+1) > pick, exact.
+  // Smallest i with prefix(i+1) > pick, exact: the Fenwick descent finds
+  // the block holding the pick, a scan of that block the slot.
   std::size_t fenwick_pick(std::uint64_t pick) const {
-    std::size_t idx = 0;
+    const std::uint64_t original = pick;
+    std::size_t block = 0;
     for (std::size_t mask = top_; mask != 0; mask >>= 1) {
-      const std::size_t next = idx + mask;
+      const std::size_t next = block + mask;
       if (next < tree_.size() && tree_[next] <= pick) {
-        idx = next;
+        block = next;
         pick -= tree_[next];
       }
     }
-    if (idx >= w_.size())
-      sampler_invariant_failure("DynamicPairSampler::fenwick_pick", pick,
-                                total_);
-    return idx;
+    // ppfs-lint: allow(weight-mul): slot indices, at most size() + kBlock.
+    const std::size_t end = std::min(w_.size(), (block + 1) * kBlock);
+    for (std::size_t i = block * kBlock; i < end; ++i) {
+      if (pick < w_[i]) return i;
+      pick -= w_[i];
+    }
+    sampler_invariant_failure("DynamicPairSampler::fenwick_pick", original,
+                              total_);
   }
 
   // Vose's alias method on integer weights: bucket capacity W = total_,
@@ -271,9 +288,9 @@ class DynamicPairSampler {
   }
 
   std::vector<std::uint64_t> w_;
-  std::vector<std::uint64_t> tree_;  // 1-indexed Fenwick partial sums
+  std::vector<std::uint64_t> tree_;  // 1-indexed Fenwick sums of blocks
   std::uint64_t total_ = 0;
-  std::size_t top_ = 1;  // highest power of two <= size()
+  std::size_t top_ = 1;  // highest power of two <= block count
 
   bool alias_valid_ = false;
   std::size_t draws_since_update_ = 0;

@@ -79,27 +79,28 @@ std::uint64_t BatchSystem::audit_changing_weight(
 
 void BatchSystem::build_pair_table(InteractionClass c, PairTable& table) const {
   table.pairs.clear();
-  table.adj.assign(q_, {});
   rules_.for_each_changing_pair(c, [&](State s, State r) {
-    const auto idx = static_cast<std::uint32_t>(table.pairs.size());
-    table.pairs.emplace_back(s, r);
-    table.adj[s].push_back(idx);
-    if (r != s) table.adj[r].push_back(idx);
+    table.pairs.push_back({s, r, rules_.outcome(c, s, r)});
   });
+  // Flat adjacency: count each state's slots, turn the counts into end
+  // offsets, then place the slots backwards so every offset ends at its
+  // state's start and each state lists its slots in ascending order.
+  table.adj_begin.assign(q_ + 1, 0);
+  for (const PairSlot& p : table.pairs) {
+    ++table.adj_begin[p.s];
+    if (p.r != p.s) ++table.adj_begin[p.r];
+  }
+  std::uint32_t end = 0;
+  for (std::uint32_t& b : table.adj_begin) b = end += b;
+  table.adj.resize(end);
+  for (auto i = static_cast<std::uint32_t>(table.pairs.size()); i-- > 0;) {
+    const PairSlot& p = table.pairs[i];
+    table.adj[--table.adj_begin[p.s]] = i;
+    if (p.r != p.s) table.adj[--table.adj_begin[p.r]] = i;
+  }
   table.sampler.reset(table.pairs.size());
   for (std::size_t i = 0; i < table.pairs.size(); ++i)
-    table.sampler.set(
-        i, pair_weight(table.pairs[i].first, table.pairs[i].second));
-}
-
-void BatchSystem::mark_dirty(State s) const {
-  if (s >= q_ || dirty_flag_[s]) return;
-  dirty_flag_[s] = 1;
-  dirty_.push_back(s);
-}
-
-bool BatchSystem::omit_live() const noexcept {
-  return omit_pairs_ && omit_->active(steps_);
+    table.sampler.set(i, pair_weight(table.pairs[i].s, table.pairs[i].r));
 }
 
 void BatchSystem::flush_weights() const {
@@ -108,18 +109,17 @@ void BatchSystem::flush_weights() const {
   // Inactivity is absorbing, so an inactive adversary's table is never
   // read again and stops being kept.
   const bool omit = omit_live();
-  for (const State s : dirty_) {
-    dirty_flag_[s] = 0;
-    for (const std::uint32_t i : real_pairs_.adj[s]) {
-      const auto [ps, pr] = real_pairs_.pairs[i];
-      real_pairs_.sampler.set(i, pair_weight(ps, pr));
+  const auto refresh = [&](PairTable& table, State x) {
+    for (std::uint32_t j = table.adj_begin[x]; j < table.adj_begin[x + 1];
+         ++j) {
+      const std::uint32_t i = table.adj[j];
+      table.sampler.set(i, pair_weight(table.pairs[i].s, table.pairs[i].r));
     }
-    if (omit) {
-      for (const std::uint32_t i : omit_pairs_->adj[s]) {
-        const auto [ps, pr] = omit_pairs_->pairs[i];
-        omit_pairs_->sampler.set(i, pair_weight(ps, pr));
-      }
-    }
+  };
+  for (const State x : dirty_) {
+    dirty_flag_[x] = 0;
+    refresh(real_pairs_, x);
+    if (omit) refresh(*omit_pairs_, x);
   }
   dirty_.clear();
   w_real_ = real_pairs_.sampler.total();
@@ -177,12 +177,12 @@ void BatchSystem::audit_invariants() const {
   // samplers' own derived structures (Fenwick / alias).
   const auto audit_table = [&](const PairTable& table, const char* name) {
     for (std::size_t i = 0; i < table.pairs.size(); ++i) {
-      const auto [s, r] = table.pairs[i];
-      audit::check(table.sampler.weight(i) == pair_weight(s, r), name,
+      const std::uint64_t want =
+          pair_weight(table.pairs[i].s, table.pairs[i].r);
+      audit::check(table.sampler.weight(i) == want, name,
                    "slot weight agrees with pair_weight over counts",
                    "slot " + std::to_string(i) + ": " +
-                       audit::expected_got(pair_weight(s, r),
-                                           table.sampler.weight(i)));
+                       audit::expected_got(want, table.sampler.weight(i)));
     }
     table.sampler.audit_invariants(name);
   };
@@ -191,20 +191,17 @@ void BatchSystem::audit_invariants() const {
   if (omit_) omit_->audit_invariants();
 }
 
-void BatchSystem::apply_fire(InteractionClass c, State s, State r,
+void BatchSystem::apply_fire(InteractionClass c, const PairSlot& p,
                              BatchDelta& d) {
   d.fired = true;
   d.omissive = c != InteractionClass::Real;
-  d.s = s;
-  d.r = r;
-  d.out = rules_.outcome(c, s, r);
-  conf_.apply_outcome(s, r, d.out);
-  if (d.omissive) stats_.record_omissive_fire(s, r);
-  else stats_.record_fire(s, r);
-  mark_dirty(s);
-  mark_dirty(r);
-  mark_dirty(d.out.starter);
-  mark_dirty(d.out.reactor);
+  d.s = p.s;
+  d.r = p.r;
+  d.out = p.out;
+  conf_.apply_outcome(p.s, p.r, p.out);
+  if (d.omissive) stats_.record_omissive_fire(p.s, p.r);
+  else stats_.record_fire(p.s, p.r);
+  mark_moved(p.s, p.r, p.out);
 }
 
 void BatchSystem::bulk_fire(InteractionClass c, State s, State r,
@@ -215,10 +212,7 @@ void BatchSystem::bulk_fire(InteractionClass c, State s, State r,
   conf_.move(r, out.reactor, times);
   if (c == InteractionClass::Real) stats_.record_fire(s, r, times);
   else stats_.record_omissive_fire(s, r, times);
-  mark_dirty(s);
-  mark_dirty(r);
-  mark_dirty(out.starter);
-  mark_dirty(out.reactor);
+  mark_moved(s, r, out);
 }
 
 std::pair<std::uint64_t, std::uint64_t> BatchSystem::leap_weight() const {
@@ -229,15 +223,14 @@ std::pair<std::uint64_t, std::uint64_t> BatchSystem::leap_weight() const {
 }
 
 void BatchSystem::fire_real(std::uint64_t, Rng& rng, BatchDelta& d) {
-  const auto [s, r] = pick_changing_pair(InteractionClass::Real, rng);
-  apply_fire(InteractionClass::Real, s, r, d);
+  apply_fire(InteractionClass::Real,
+             pick_changing_pair(InteractionClass::Real, rng), d);
 }
 
 bool BatchSystem::fire_omission(std::uint64_t t, Rng& rng, BatchDelta& d) {
   // The omissive delivery changes counts with exact probability Wo/T.
   if (w_omit_ == 0 || rng.below(t) >= w_omit_) return false;
-  const auto [s, r] = pick_changing_pair(omit_class_, rng);
-  apply_fire(omit_class_, s, r, d);
+  apply_fire(omit_class_, pick_changing_pair(omit_class_, rng), d);
   return true;
 }
 
@@ -247,8 +240,8 @@ BatchDelta BatchSystem::advance(std::size_t budget, Rng& rng) {
   return d;
 }
 
-std::pair<State, State> BatchSystem::pick_changing_pair(InteractionClass c,
-                                                        Rng& rng) const {
+const BatchSystem::PairSlot& BatchSystem::pick_changing_pair(
+    InteractionClass c, Rng& rng) const {
   // Draw the firing pair proportionally to its weight (exact integers);
   // an exhausted pick surfaces as the samplers' shared structured
   // invariant failure instead of the old terminal linear-scan throw.

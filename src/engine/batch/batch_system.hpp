@@ -23,8 +23,10 @@
 // The changing weights Wr / Wo are maintained INCREMENTALLY: each class
 // keeps a fixed enumeration of its count-changing pairs (is_noop depends
 // only on the compiled rules) inside a DynamicPairSampler
-// (alias_sampler.hpp), a fire dirties at most four states, and flushing a
-// dirty state re-sets only the pairs adjacent to it. Totals are O(1)
+// (alias_sampler.hpp), a fire dirties only the states whose count it
+// changed (at most four; a side whose pre-state equals its post-state
+// moves nothing), and flushing a dirty state re-sets only the pairs
+// adjacent to it. Totals are O(1)
 // reads and the firing pair is drawn in O(log q) (Fenwick) or O(1)
 // (alias) instead of the former O(q^2) rescan + linear walk — the fix for
 // dense regimes where every delivery fires and leaping degenerates. The
@@ -159,12 +161,22 @@ class BatchSystem {
   // Weight of ordered pair (s, r): C[s] * (C[r] - [s == r]).
   [[nodiscard]] std::uint64_t pair_weight(State s, State r) const noexcept;
 
+  // One count-changing pair of a class and its outcome, so a fire reads
+  // its post-states from the slot it drew.
+  struct PairSlot {
+    State s;
+    State r;
+    StatePair out;
+  };
   // Fixed enumeration of one class's count-changing pairs plus the
-  // dynamic sampler over their current weights. The pair list and the
-  // per-state adjacency never change after construction; only weights do.
+  // dynamic sampler over their current weights. The slots and the flat
+  // per-state adjacency (the slots touching state x are
+  // adj[adj_begin[x] .. adj_begin[x + 1])) never change after
+  // construction; only weights do.
   struct PairTable {
-    std::vector<std::pair<State, State>> pairs;
-    std::vector<std::vector<std::uint32_t>> adj;  // per state: pair indices
+    std::vector<PairSlot> pairs;
+    std::vector<std::uint32_t> adj_begin;  // q + 1 offsets into adj
+    std::vector<std::uint32_t> adj;        // slot indices, by state
     DynamicPairSampler sampler;
   };
   void build_pair_table(InteractionClass c, PairTable& table) const;
@@ -175,15 +187,41 @@ class BatchSystem {
   void flush_weights() const;
   // An adversary is attached and still active. Once false it stays false,
   // and the omissive table and w_omit_ go stale.
-  [[nodiscard]] bool omit_live() const noexcept;
-  void mark_dirty(State s) const;
+  [[nodiscard]] bool omit_live() const noexcept {
+    return omit_pairs_ && omit_->active(steps_);
+  }
+  void mark_dirty(State s) const {
+    if (s >= q_ || dirty_flag_[s]) return;
+    dirty_flag_[s] = 1;
+    dirty_.push_back(s);
+  }
+  // Dirty the states whose count the move (s, r) -> out changed. Pair
+  // weights depend only on the counts of their two states, so the others
+  // need no flush: a side whose pre-state equals its post-state moves
+  // nothing, and a swap (s, r) -> (r, s) moves no count at all.
+  void mark_moved(State s, State r, StatePair out) const {
+    const auto moved = [&](State x) {
+      return (x == out.starter) + (x == out.reactor) != (x == s) + (x == r);
+    };
+    if (s != out.starter) {
+      if (moved(s)) mark_dirty(s);
+      if (moved(out.starter)) mark_dirty(out.starter);
+    }
+    if (r != out.reactor) {
+      if (moved(r)) mark_dirty(r);
+      if (moved(out.reactor)) mark_dirty(out.reactor);
+    }
+  }
 
-  // Pre-states of a count-changing pair of class `c`, drawn with
+  // A count-changing pair of class `c` with its outcome, drawn with
   // probability pair_weight / changing_weight(c) by the class sampler.
   // Requires flushed weights (every advance path flushes first).
-  [[nodiscard]] std::pair<State, State> pick_changing_pair(InteractionClass c,
-                                                           Rng& rng) const;
-  void apply_fire(InteractionClass c, State s, State r, BatchDelta& d);
+  [[nodiscard]] const PairSlot& pick_changing_pair(InteractionClass c,
+                                                   Rng& rng) const;
+  void apply_fire(InteractionClass c, const PairSlot& p, BatchDelta& d);
+  void apply_fire(InteractionClass c, State s, State r, BatchDelta& d) {
+    apply_fire(c, PairSlot{s, r, rules_.outcome(c, s, r)}, d);
+  }
   // Fire (s, r) -> outcome(c, s, r) `times` times as one count move — the
   // round face's bulk credit. The pairs cover distinct agents, so the
   // moves compose; records stats and marks the touched states dirty.

@@ -27,16 +27,12 @@ void Configuration::apply_pair(State s, State r) {
   apply_outcome(s, r, protocol_->delta(s, r));
 }
 
-void Configuration::apply_outcome(State s, State r, StatePair out) {
-  const std::size_t need_s = 1 + static_cast<std::size_t>(s == r);
-  if (counts_.at(s) < need_s || (s != r && counts_.at(r) < 1))
+void Configuration::bad_outcome(State s, State r, StatePair out) const {
+  if (s >= counts_.size() || r >= counts_.size())
+    throw std::out_of_range("Configuration::apply_outcome: pre-state range");
+  if (counts_[s] < 1 + static_cast<std::size_t>(s == r) || counts_[r] < 1)
     throw std::invalid_argument("Configuration::apply_outcome: pre-states empty");
-  if (out.starter >= counts_.size() || out.reactor >= counts_.size())
-    throw std::invalid_argument("Configuration::apply_outcome: post-state range");
-  --counts_[s];
-  --counts_[r];
-  ++counts_[out.starter];
-  ++counts_[out.reactor];
+  throw std::invalid_argument("Configuration::apply_outcome: post-state range");
 }
 
 void Configuration::move(State from, State to, std::size_t k) {

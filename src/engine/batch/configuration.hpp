@@ -69,8 +69,20 @@ class Configuration {
 
   // Fire an explicit outcome (s, r) -> out at the count level — the move a
   // model-generic rule (including omissive classes, which need not equal
-  // the protocol's delta) makes. Same pre-state population requirement.
-  void apply_outcome(State s, State r, StatePair out);
+  // the protocol's delta) makes. Same pre-state population requirement;
+  // every state must be in range. Inline: the count-space engines call it
+  // once per fire.
+  void apply_outcome(State s, State r, StatePair out) {
+    const std::size_t q = counts_.size();
+    if (s >= q || r >= q || out.starter >= q || out.reactor >= q ||
+        counts_[s] < 1 + static_cast<std::size_t>(s == r) ||
+        counts_[r] < 1) [[unlikely]]
+      bad_outcome(s, r, out);
+    --counts_[s];
+    --counts_[r];
+    ++counts_[out.starter];
+    ++counts_[out.reactor];
+  }
 
   // Move `k` agents from state `from` to state `to` (count(from) >= k).
   void move(State from, State to, std::size_t k);
@@ -84,6 +96,9 @@ class Configuration {
   }
 
  private:
+  // The throw of apply_outcome, out of line: which check failed.
+  [[noreturn]] void bad_outcome(State s, State r, StatePair out) const;
+
   std::shared_ptr<const Protocol> protocol_;
   std::vector<std::size_t> counts_;
   std::size_t n_ = 0;

@@ -20,6 +20,38 @@
 
 namespace ppfs::leap {
 
+// The geometric inversion min(floor(log(u) / log1p(-p)), cap) for
+// 0 <= p <= 1/64 and u in (0, 1), where the quotient is the one libm's
+// log and log1p give. log1p is the costlier call, and the floor rarely
+// needs all its digits: the quotient q is first formed with the series
+//   ln(1 - p) = -(p + p^2/2 + ... + p^7/7) - tail,
+// whose cut-off tail is at most p^7 / (8(1 - p)) < 2.9e-14 of ln(1 - p)
+// at p <= 1/64, and multiplied by log(u) as a reciprocal that needs no
+// wait for log. With the series' own rounding (< 1e-15), libm's log1p
+// (within 8 ulp, 1.8e-15), the reciprocal and the products (3.4e-16),
+// the libm quotient lies within 3.5e-14·q of q, inside the bracket
+// q ± 2^-42·q (2.3e-13·q). When the bracket holds no integer step and
+// sits below the cap, or wholly at or above it, it decides; otherwise
+// log1p does, as before. At leap lengths below 10^6 that happens for
+// fewer than one leap in 10^6.
+inline std::size_t geometric_inversion(double u, double p, std::size_t cap) {
+  const double p2 = p * p;
+  const double series = (1.0 + p * 0.5) +
+                        p2 * ((1.0 / 3.0 + p * 0.25) +
+                              p2 * ((0.2 + p * (1.0 / 6.0)) + p2 * (1.0 / 7.0)));
+  const double inv_log_q = 1.0 / (-p * series);
+  const double lu = std::log(u);
+  const double cap_d = static_cast<double>(cap);
+  const double q = lu * inv_log_q;
+  const double e = q * 0x1.0p-42;
+  if (q - e >= cap_d) return cap;
+  const double lo = std::floor(q - e);
+  if (q + e < cap_d && q + e < lo + 1.0) return static_cast<std::size_t>(lo);
+  const double g = std::floor(lu / std::log1p(-p));
+  if (g >= cap_d) return cap;
+  return static_cast<std::size_t>(g);
+}
+
 // Failures before the first success of a Bernoulli(W/T) sequence, capped
 // at `cap`. Exact integer trials when a success is cheap to wait for;
 // floating-point inversion when p < 1/64 (error ~1e-16, amortized over
@@ -35,9 +67,7 @@ inline std::size_t sample_noop_run(std::uint64_t w, std::uint64_t t, Rng& rng,
   const double p = static_cast<double>(w) / static_cast<double>(t);
   double u = rng.uniform();
   if (u <= 0.0) u = 0x1.0p-53;  // uniform() is in [0, 1); keep log finite
-  const double g = std::floor(std::log(u) / std::log1p(-p));
-  if (g >= static_cast<double>(cap)) return cap;
-  return static_cast<std::size_t>(g);
+  return geometric_inversion(u, p, cap);
 }
 
 // Same, for a double success probability (used when the omission rate is
@@ -53,9 +83,7 @@ inline std::size_t sample_bernoulli_run(double p, Rng& rng, std::size_t cap) {
   }
   double u = rng.uniform();
   if (u <= 0.0) u = 0x1.0p-53;
-  const double g = std::floor(std::log(u) / std::log1p(-p));
-  if (g >= static_cast<double>(cap)) return cap;
-  return static_cast<std::size_t>(g);
+  return geometric_inversion(u, p, cap);
 }
 
 // Successes among n Bernoulli(p) trials, counted by skipping geometric

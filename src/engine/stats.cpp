@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace ppfs {
 
@@ -24,11 +25,8 @@ void RunStats::record_omissive_fire(State s, State r, std::uint64_t times) {
   omissive_fires_ += times;
 }
 
-void RunStats::record_fire(State s, State r, std::uint64_t times) {
-  if (s >= q_ || r >= q_)
-    throw std::invalid_argument("RunStats::record_fire: state out of range");
-  fires_[static_cast<std::size_t>(s) * q_ + r] += times;
-  total_fires_ += times;
+void RunStats::state_out_of_range(const char* who) {
+  throw std::invalid_argument(std::string(who) + ": state out of range");
 }
 
 void RunStats::record_probe(std::size_t step, bool holds) noexcept {
@@ -61,8 +59,7 @@ void RunStats::merge(const RunStats& o) {
 }
 
 std::uint64_t RunStats::fires(State s, State r) const {
-  if (s >= q_ || r >= q_)
-    throw std::invalid_argument("RunStats::fires: state out of range");
+  if (s >= q_ || r >= q_) state_out_of_range("RunStats::fires");
   return fires_[static_cast<std::size_t>(s) * q_ + r];
 }
 

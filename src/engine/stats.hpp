@@ -102,8 +102,14 @@ class RunStats {
 
   void reset(std::size_t num_states);
 
-  // A count-changing rule delta(s, r) fired `times` times.
-  void record_fire(State s, State r, std::uint64_t times = 1);
+  // A count-changing rule delta(s, r) fired `times` times. Inline: the
+  // engines call it once per fire.
+  void record_fire(State s, State r, std::uint64_t times = 1) {
+    if (s >= q_ || r >= q_) [[unlikely]]
+      state_out_of_range("RunStats::record_fire");
+    fires_[static_cast<std::size_t>(s) * q_ + r] += times;
+    total_fires_ += times;
+  }
   // `times` scheduled interactions left the configuration unchanged.
   void record_noops(std::uint64_t times) noexcept { noops_ += times; }
 
@@ -164,6 +170,9 @@ class RunStats {
   void restore_state(bin::Reader& r);
 
  private:
+  // The range checks' throw, out of line.
+  [[noreturn]] static void state_out_of_range(const char* who);
+
   std::size_t q_ = 0;
   std::vector<std::uint64_t> fires_;  // q_ * q_ dense, row = starter state
   std::uint64_t total_fires_ = 0;

@@ -180,14 +180,6 @@ OmissionProcess::OmissionProcess(AdversaryParams params) : params_(params) {
   if (params_.kind == AdversaryKind::NO1) params_.max_omissions = 1;
 }
 
-bool OmissionProcess::active(std::size_t step) const noexcept {
-  if (params_.rate <= 0.0) return false;
-  if (emitted_ >= params_.max_omissions) return false;
-  if (params_.kind == AdversaryKind::NO && step >= params_.quiet_after)
-    return false;
-  return true;
-}
-
 std::size_t OmissionProcess::remaining_budget() const noexcept {
   return emitted_ >= params_.max_omissions ? 0
                                            : params_.max_omissions - emitted_;

@@ -95,7 +95,11 @@ class OmissionProcess {
   // --- batch-side views -----------------------------------------------------
   // Can any further omission be inserted at or after `step`? Inactivity is
   // absorbing: once false for the current step it stays false forever.
-  [[nodiscard]] bool active(std::size_t step) const noexcept;
+  // Inline: the leap asks it on every call.
+  [[nodiscard]] bool active(std::size_t step) const noexcept {
+    return !(params_.rate <= 0.0) && emitted_ < params_.max_omissions &&
+           !(params_.kind == AdversaryKind::NO && step >= params_.quiet_after);
+  }
   [[nodiscard]] double rate() const noexcept { return params_.rate; }
   [[nodiscard]] std::size_t remaining_budget() const noexcept;
   // The part of `budget` deliveries from `step` on that stays short of the

@@ -35,7 +35,9 @@ class Rng {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~0ULL; }
 
-  constexpr result_type operator()() noexcept {
+  // operator(), below() and uniform() are forced inline: the leap's trial
+  // loop and pair draws keep the generator state in registers only then.
+  [[gnu::always_inline]] constexpr result_type operator()() noexcept {
     ++draws_;
     const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
     const std::uint64_t t = state_[1] << 17;
@@ -50,7 +52,8 @@ class Rng {
 
   // Uniform integer in [0, bound). bound must be > 0. Uses Lemire's
   // multiply-shift with rejection for exact uniformity.
-  [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept {
+  [[nodiscard, gnu::always_inline]] std::uint64_t below(
+      std::uint64_t bound) noexcept {
     __uint128_t m = static_cast<__uint128_t>(operator()()) * bound;
     auto lo = static_cast<std::uint64_t>(m);
     if (lo < bound) {
@@ -64,7 +67,7 @@ class Rng {
   }
 
   // Uniform double in [0, 1).
-  [[nodiscard]] double uniform() noexcept {
+  [[nodiscard, gnu::always_inline]] double uniform() noexcept {
     return static_cast<double>(operator()() >> 11) * 0x1.0p-53;
   }
 

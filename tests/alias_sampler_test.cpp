@@ -61,6 +61,35 @@ TEST(DynamicPairSampler, FenwickRegimeMatchesWeights) {
   expect_frequencies(weights, hits, draws, "fenwick");
 }
 
+// The Fenwick face maps its one below(total) draw to the smallest slot
+// whose prefix sum exceeds it. Slot counts below, at and past the leaf
+// block size (and many blocks) must all give the linear scan's slot, and
+// the block tree must stay the one a rebuild produces.
+TEST(DynamicPairSampler, FenwickPickIsThePrefixScanAcrossBlocks) {
+  Rng gen(17);
+  for (const std::size_t k : {1u, 2u, 7u, 8u, 9u, 16u, 17u, 100u, 1000u}) {
+    DynamicPairSampler s;
+    s.reset(k);
+    std::vector<std::uint64_t> w(k, 0);
+    for (std::size_t round = 0; round < 4000; ++round) {
+      // A changed weight every round keeps the Fenwick face serving.
+      const std::size_t i = gen.below(k);
+      const std::uint64_t old = w[i];
+      while (w[i] == old) w[i] = gen.chance(0.3) ? 0 : 1 + gen.below(1000);
+      s.set(i, w[i]);
+      if (s.total() == 0) continue;
+      Rng a(round);
+      Rng b(round);
+      const std::size_t got = s.draw(a);
+      const std::uint64_t pick = b.below(s.total());
+      EXPECT_EQ(got, weighted_scan(k, pick, "test",
+                                   [&](std::size_t j) { return w[j]; }))
+          << "k=" << k << " round " << round;
+    }
+    EXPECT_NO_THROW(s.audit_invariants());
+  }
+}
+
 TEST(DynamicPairSampler, AliasRegimeMatchesWeights) {
   const std::vector<std::uint64_t> weights{7, 1, 0, 40, 3, 13};
   DynamicPairSampler s;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/batch/dispatch.hpp"
+#include "engine/batch/round_system.hpp"
 #include "engine/workload_runner.hpp"
 #include "protocols/logic.hpp"
 #include "protocols/majority.hpp"
@@ -85,6 +86,90 @@ TEST(BatchSystem, RejectsSingletonPopulations) {
 }
 
 // --- EngineDispatch facade --------------------------------------------------
+
+// Random protocol rich in the outcomes a fire's net-change marking
+// special-cases: no-ops, swaps (s, r) -> (r, s), one-sided identities
+// (s, r) -> (s, r') and (s', r), and arbitrary moves; s == r self-pairs
+// come with every diagonal cell.
+std::shared_ptr<const TableProtocol> net_change_protocol(std::size_t q,
+                                                         Rng& rng) {
+  std::vector<std::string> names;
+  std::vector<int> outputs;
+  std::vector<State> initial;
+  for (State s = 0; s < q; ++s) {
+    names.push_back("q" + std::to_string(s));
+    outputs.push_back(static_cast<int>(s % 2));
+    initial.push_back(s);
+  }
+  std::vector<StatePair> table(q * q);
+  for (State s = 0; s < q; ++s) {
+    for (State r = 0; r < q; ++r) {
+      const auto any = [&] { return static_cast<State>(rng.below(q)); };
+      StatePair& out = table[s * q + r];
+      switch (rng.below(5)) {
+        case 0: out = {s, r}; break;
+        case 1: out = {r, s}; break;
+        case 2: out = {s, any()}; break;
+        case 3: out = {any(), r}; break;
+        default: out = {any(), any()}; break;
+      }
+    }
+  }
+  return std::make_shared<TableProtocol>("net-change", names, outputs,
+                                         initial, std::move(table));
+}
+
+// A fire dirties only the states whose count it moved, and a flush re-sets
+// only the pairs adjacent to dirty states. After every leap, step and
+// round the incremental weights must still equal the O(q^2) rescan
+// (audit_invariants), for the real table and for the omissive one while
+// the adversary is live and after its budget runs out.
+TEST(BatchSystem, NetChangeFlushMatchesRescan) {
+  Rng gen(30);
+  std::size_t saw_live = 0;
+  std::size_t saw_spent = 0;
+  for (std::size_t trial = 0; trial < 60; ++trial) {
+    const std::size_t q = 2 + gen.below(5);
+    const auto p = net_change_protocol(q, gen);
+    ModelFns fns;
+    std::vector<State> o(q);
+    std::vector<State> h(q);
+    for (State s = 0; s < q; ++s) {
+      o[s] = gen.chance(0.5) ? s : static_cast<State>(gen.below(q));
+      h[s] = gen.chance(0.5) ? s : static_cast<State>(gen.below(q));
+    }
+    fns.o = [o](State s) { return o[s]; };
+    fns.h = [h](State s) { return h[s]; };
+    const std::size_t n = 2 + gen.below(60);
+    std::vector<std::size_t> counts(q, 0);
+    for (std::size_t i = 0; i < n; ++i) ++counts[gen.below(q)];
+    const bool omissive = trial % 3 != 0;
+    BatchSystem sys(omissive ? RuleMatrix::compile(p, Model::T3, fns)
+                             : RuleMatrix::compile(p, Model::TW),
+                    counts);
+    if (omissive) {
+      AdversaryParams adv = parse_adversary_spec(
+          trial % 3 == 1 ? "uo:0.4" : "budget:6:0.5");
+      adv.side = static_cast<OmitSide>(gen.below(3));
+      sys.set_omission_process(adv);
+    }
+    RoundSystem round(sys);
+    Rng rng(trial);
+    for (std::size_t call = 0; call < 300; ++call) {
+      switch (call % 3) {
+        case 0: (void)sys.advance(1 + rng.below(40), rng); break;
+        case 1: (void)sys.step(rng); break;
+        default: (void)round.advance(1 + rng.below(40), rng); break;
+      }
+      ASSERT_NO_THROW(sys.audit_invariants())
+          << "trial " << trial << ", call " << call;
+      if (const OmissionProcess* op = sys.omission_process())
+        ++(op->active(sys.steps()) ? saw_live : saw_spent);
+    }
+  }
+  EXPECT_GT(saw_live, 0u);
+  EXPECT_GT(saw_spent, 0u);
+}
 
 TEST(EngineDispatch, KindsAndFactory) {
   EXPECT_EQ(engine_kinds(),

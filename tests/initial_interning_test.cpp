@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -157,13 +158,7 @@ TEST(InitialInterning, RejectsOutOfRangeStates) {
 // state anywhere must throw.
 TEST(InitialInterning, FirstAppearanceGroupsEqualAgentByAgentCounts) {
   constexpr std::size_t q = 5;
-  Rng rng(2026);
-  for (std::size_t trial = 0; trial < 300; ++trial) {
-    std::vector<State> states;
-    const std::size_t runs = rng.below(12);
-    for (std::size_t r = 0; r < runs; ++r)
-      states.insert(states.end(), 1 + rng.below(rng.chance(0.5) ? 4 : 80),
-                    static_cast<State>(rng.below(q)));
+  const auto agent_by_agent = [](const std::vector<State>& states) {
     std::vector<std::pair<State, std::size_t>> want;
     for (const State s : states) {
       const auto it = std::find_if(want.begin(), want.end(),
@@ -171,7 +166,34 @@ TEST(InitialInterning, FirstAppearanceGroupsEqualAgentByAgentCounts) {
       if (it == want.end()) want.emplace_back(s, 1);
       else ++it->second;
     }
-    EXPECT_EQ(first_appearance_groups(states, q, "test"), want);
+    return want;
+  };
+  const auto runs_of = [](std::initializer_list<std::pair<State, std::size_t>>
+                              runs) {
+    std::vector<State> states;
+    for (const auto& [s, k] : runs) states.insert(states.end(), k, s);
+    return states;
+  };
+  // Fixed layouts for the three places a state can first show up: inside
+  // a mixed block (3 at agent 37, in the block 32..47), a uniform block
+  // right after a long uniform run (4 at agents 1008..1028, after 1008
+  // agents of 2), and only in the tail past the last whole block (1 at
+  // agents 64..66 of n = 67).
+  for (const std::vector<State>& states :
+       {runs_of({{0, 37}, {3, 1}, {0, 2}, {1, 100}}),
+        runs_of({{2, 1008}, {4, 21}, {2, 11}, {0, 33}}),
+        runs_of({{0, 64}, {1, 3}})})
+    EXPECT_EQ(first_appearance_groups(states, q, "test"),
+              agent_by_agent(states));
+  Rng rng(2026);
+  for (std::size_t trial = 0; trial < 300; ++trial) {
+    std::vector<State> states;
+    const std::size_t runs = rng.below(12);
+    for (std::size_t r = 0; r < runs; ++r)
+      states.insert(states.end(), 1 + rng.below(rng.chance(0.5) ? 4 : 80),
+                    static_cast<State>(rng.below(q)));
+    EXPECT_EQ(first_appearance_groups(states, q, "test"),
+              agent_by_agent(states));
     if (states.empty()) continue;
     states[rng.below(states.size())] = static_cast<State>(q + rng.below(3));
     try {

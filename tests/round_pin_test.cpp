@@ -12,13 +12,18 @@
 // across and just past its table, and sample_round_length equals a plain
 // bisection that evaluates the survival function at every midpoint, over
 // 10^6 random (n, u, cap) including n = 10^9, where the floating-point
-// survival function is not monotone.
+// survival function is not monotone. The leap's geometric inversion is
+// checked the same way: leap::geometric_inversion equals the plain libm
+// quotient floor(log(u) / log1p(-p)), capped, over random and
+// near-integer quotients.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -221,6 +226,47 @@ TEST(RoundPin, RoundLengthMatchesPlainBisection) {
     ASSERT_EQ(a.draw_count(), b.draw_count());
   }
   EXPECT_GT(at_billion, kCases / 3);
+}
+
+std::size_t reference_inversion(double u, double p, std::size_t cap) {
+  const double g = std::floor(std::log(u) / std::log1p(-p));
+  if (g >= static_cast<double>(cap)) return cap;
+  return static_cast<std::size_t>(g);
+}
+
+// Half the cases draw u uniformly; the other half put the quotient within
+// a few ulps of an integer j (u = (1 - p)^j, nudged), where the bracket
+// cannot decide and log1p must. Caps land below, at and above the answer.
+TEST(RoundPin, GeometricInversionMatchesLibmQuotient) {
+  constexpr std::size_t kCases = 2'000'000;
+  Rng params(11);
+  std::size_t near_integer = 0;
+  for (std::size_t k = 0; k < kCases; ++k) {
+    const double p = std::exp2(-6.0 - 34.0 * params.uniform());
+    double u = params.uniform();
+    if (k % 2 == 1) {
+      const double j = std::floor(std::exp2(24.0 * params.uniform()));
+      u = std::exp(j * std::log1p(-p));
+      const int nudge = static_cast<int>(params.below(17)) - 8;  // ulps
+      for (int i = 0; i < std::abs(nudge); ++i)
+        u = std::nextafter(u, nudge > 0 ? 1.0 : 0.0);
+      ++near_integer;
+    }
+    if (u <= 0.0) u = 0x1.0p-53;
+    if (u >= 1.0) continue;
+    const std::size_t free = reference_inversion(u, p, std::numeric_limits<std::size_t>::max());
+    std::size_t cap;
+    switch (params.below(4)) {
+      case 0: cap = std::size_t{1} << 40; break;
+      case 1: cap = free; break;
+      case 2: cap = free + 1; break;
+      default: cap = 1 + params.below(free + 1); break;
+    }
+    ASSERT_EQ(leap::geometric_inversion(u, p, cap),
+              reference_inversion(u, p, cap))
+        << "u=" << u << " p=" << p << " cap=" << cap;
+  }
+  EXPECT_GT(near_integer, kCases / 3);
 }
 
 }  // namespace
